@@ -16,6 +16,10 @@
    parallel hardware), which is exactly why the stage keeps the cache and
    tables in front of the pool.
 
+   Per-layer rows (series "layers", Info) time the costs underneath:
+   field mul and sqr, SHA-256 of 64 bytes, sign, and verify with and
+   without a fixed-base table, each the median of 7 timed loops.
+
    Writes BENCH_crypto.json through the report layer's row emitter:
    deterministic counts gate Exact, wall-clock throughputs are Info. Not
    part of the default @runtest (wall-clock heavy); run with
@@ -198,6 +202,66 @@ let component_rows () =
     info "precompute_wall_s" wall_precompute;
   ]
 
+(* --- layers: per-operation cost of each crypto layer ------------------ *)
+
+(* Median over [trials] timed loops of [iters] calls, in ns per call: the
+   spread between trials is scheduler noise, not the code. *)
+let ns_per_op ~iters f =
+  let trials = 7 in
+  let per_trial =
+    Array.init trials (fun _ ->
+        let (), wall =
+          time (fun () ->
+              for i = 0 to iters - 1 do
+                f i
+              done)
+        in
+        wall *. 1e9 /. float_of_int iters)
+  in
+  Array.sort compare per_trial;
+  per_trial.(trials / 2)
+
+let layer_rows () =
+  let s = Fe.scratch () in
+  let a = Fe.of_bytes (Sha256.digest "fe-a") and b = Fe.of_bytes (Sha256.digest "fe-b") in
+  let fe_mul = ns_per_op ~iters:100_000 (fun _ -> Fe.mul s a a b) in
+  let fe_sqr = ns_per_op ~iters:100_000 (fun _ -> Fe.sqr s a a) in
+  let block = String.make 64 'x' in
+  let sha = ns_per_op ~iters:20_000 (fun _ -> ignore (Sha256.digest block)) in
+  let sk, pk = Schnorr.keypair_of_seed "layers" in
+  let digests = Array.init 64 (fun i -> Sha256.digest (string_of_int i)) in
+  let sigs = Array.map (Schnorr.sign sk) digests in
+  let sign =
+    ns_per_op ~iters:64 (fun i -> ignore (Schnorr.sign sk digests.(i))) /. 1e3
+  in
+  let verify () =
+    ns_per_op ~iters:64 (fun i ->
+        if not (Schnorr.verify pk digests.(i) ~signature:sigs.(i)) then begin
+          prerr_endline "crypto-bench: layer verification failed";
+          exit 1
+        end)
+    /. 1e3
+  in
+  let untabled = verify () in
+  Schnorr.precompute pk;
+  let tabled = verify () in
+  Printf.printf "crypto-bench layers (median of 7 trials)\n";
+  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns   sha256/64B %8.1f ns\n" fe_mul
+    fe_sqr sha;
+  Printf.printf "  sign %8.1f us   verify untabled %8.1f us   tabled %8.1f us\n%!"
+    sign untabled tabled;
+  let info metric v = Report.row ~bench:"crypto" ~series:"layers" ~metric ~gate:Report.Info v in
+  [
+    info "fe_mul_ns" fe_mul;
+    info "fe_sqr_ns" fe_sqr;
+    info "sha256_64B_ns" sha;
+    info "sign_us" sign;
+    info "verify_untabled_us" untabled;
+    info "verify_tabled_us" tabled;
+  ]
+
 let () =
-  let rows = pipeline_rows () @ component_rows () in
+  let pipeline = pipeline_rows () in
+  let components = component_rows () in
+  let rows = pipeline @ components @ layer_rows () in
   Report.write_rows ~file:"BENCH_crypto.json" ~bench:"crypto" rows

@@ -229,40 +229,30 @@ let mod_pow b e m =
     !result
   end
 
+(* A 24-bit limb is exactly three bytes, so bytes pack straight into
+   limbs from the least significant end. *)
 let of_bytes_be s =
   let n = String.length s in
-  let v = ref zero in
+  let out = Array.make ((n + 2) / 3) 0 in
   for i = 0 to n - 1 do
-    v := add (shift_left !v 8) (of_int (Char.code s.[i]))
+    let limb = i / 3 in
+    out.(limb) <- out.(limb) lor (Char.code s.[n - 1 - i] lsl (8 * (i mod 3)))
   done;
-  !v
-
-let to_bytes_be a =
-  let bl = bit_length a in
-  let nbytes = max 1 ((bl + 7) / 8) in
-  let out = Bytes.create nbytes in
-  for i = 0 to nbytes - 1 do
-    let byte_index = nbytes - 1 - i in
-    let v =
-      (if test_bit a ((8 * i) + 0) then 1 else 0)
-      lor (if test_bit a ((8 * i) + 1) then 2 else 0)
-      lor (if test_bit a ((8 * i) + 2) then 4 else 0)
-      lor (if test_bit a ((8 * i) + 3) then 8 else 0)
-      lor (if test_bit a ((8 * i) + 4) then 16 else 0)
-      lor (if test_bit a ((8 * i) + 5) then 32 else 0)
-      lor (if test_bit a ((8 * i) + 6) then 64 else 0)
-      lor if test_bit a ((8 * i) + 7) then 128 else 0
-    in
-    Bytes.set out byte_index (Char.chr v)
-  done;
-  Bytes.unsafe_to_string out
+  normalize out
 
 let to_bytes_be_fixed len a =
-  let s = to_bytes_be a in
-  let s = if s = "\x00" && len > 0 then "" else s in
-  let n = String.length s in
-  if n > len then invalid_arg "Bignum.to_bytes_be_fixed: value too large";
-  String.make (len - n) '\x00' ^ s
+  if (bit_length a + 7) / 8 > len then invalid_arg "Bignum.to_bytes_be_fixed: value too large";
+  let out = Bytes.make len '\x00' in
+  Array.iteri
+    (fun l limb ->
+      for k = 0 to 2 do
+        let i = (3 * l) + k in
+        if i < len then Bytes.set out (len - 1 - i) (Char.chr ((limb lsr (8 * k)) land 0xff))
+      done)
+    a;
+  Bytes.unsafe_to_string out
+
+let to_bytes_be a = to_bytes_be_fixed (max 1 ((bit_length a + 7) / 8)) a
 
 let of_hex h =
   let h = if String.length h mod 2 = 1 then "0" ^ h else h in

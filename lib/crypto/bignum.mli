@@ -1,9 +1,10 @@
 (** Arbitrary-precision natural numbers.
 
     Little-endian arrays of 24-bit limbs over native ints, so schoolbook
-    products and carry chains never overflow 63-bit arithmetic. This backs
-    the Schnorr signature group arithmetic ({!Group}); the container has no
-    [zarith], so the reproduction carries its own bignums. *)
+    products and carry chains never overflow 63-bit arithmetic. This serves
+    the Schnorr scalars and the encodings at {!Group}'s interface, and is
+    the reference the fixed-width field ({!Fe}) is tested against; the
+    build has no [zarith], so the reproduction carries its own bignums. *)
 
 type t
 

@@ -4,120 +4,144 @@ let p =
 let n = Bignum.sub p Bignum.one
 let g = Bignum.of_int 2
 
-let reduce x =
-  (* x mod (2^255 - 19): fold the high part down as hi*19 + lo until the
-     value fits in 255 bits, then a final conditional subtract. The fold
-     converges in two iterations for inputs up to 510 bits. *)
+(* x mod (2^255 - c): fold the high part down as hi*c + lo until the value
+   fits in 255 bits, then subtract the modulus while it is still too big.
+   A 512-bit input converges in three folds. *)
+let fold_mod ~c m x =
   let x = ref x in
   while Bignum.bit_length !x > 255 do
     let hi = Bignum.shift_right !x 255 in
     let lo = Bignum.mask_bits !x 255 in
-    x := Bignum.add (Bignum.mul_small hi 19) lo
+    x := Bignum.add (Bignum.mul_small hi c) lo
   done;
-  while Bignum.compare !x p >= 0 do
-    x := Bignum.sub !x p
+  while Bignum.compare !x m >= 0 do
+    x := Bignum.sub !x m
   done;
   !x
 
-let mul a b = reduce (Bignum.mul a b)
+let reduce x = fold_mod ~c:19 p x
+let reduce_scalar x = fold_mod ~c:20 n x
 
-let pow b e =
-  let result = ref Bignum.one and base = ref (reduce b) in
-  let nbits = Bignum.bit_length e in
-  for i = 0 to nbits - 1 do
-    if Bignum.test_bit e i then result := mul !result !base;
-    if i < nbits - 1 then base := mul !base !base
-  done;
-  !result
+(* Elements cross into the fixed-width field through their 32-byte
+   encoding; every exponentiation below runs on Fe with a scratch buffer
+   of its own, so calls on different domains share nothing mutable. *)
+let fe_of b = Fe.of_bytes (Bignum.to_bytes_be_fixed 32 b)
+let bignum_of_fe x = Bignum.of_bytes_be (Fe.to_bytes x)
 
-(* Fixed-base table: base^(2^i) for i in [0, 256). With the table in hand,
-   base^e costs only one multiplication per set exponent bit — the whole
-   squaring chain is precomputed — roughly halving exponentiation cost.
-   Tables are plain immutable-after-build arrays so domains can share them
-   without racing on a lazy. *)
+let mul a b =
+  let x = fe_of a in
+  Fe.mul (Fe.scratch ()) x x (fe_of b);
+  bignum_of_fe x
+
+(* Exponent bits, least significant first, from the big-endian bytes. *)
+let bit e_bytes i =
+  let k = String.length e_bytes - 1 - (i / 8) in
+  k >= 0 && (Char.code e_bytes.[k] lsr (i land 7)) land 1 = 1
+
+(* Fixed-base comb (Lim-Lee): a 256-bit exponent is read as 8 rows of 32
+   bits, row i covering bits 32i..32i+31. The table holds, for every 8-bit
+   mask v, the product of base^(2^(32i)) over the rows i set in v. Column j
+   of the exponent then selects one entry, and
+
+     base^e = prod_j table[column j]^(2^j)
+
+   costs 32 squarings and at most 32 multiplications, against ~128
+   multiplications for a table of base^(2^i). Building it takes 224
+   squarings and 247 multiplications. Tables are immutable after build,
+   so domains can share them. *)
+type table = Fe.t array
+
+let rows = 8
+let cols = 32
+
 let make_table base =
-  let base = reduce base in
-  let table = Array.make 256 base in
-  for i = 1 to 255 do
-    table.(i) <- mul table.(i - 1) table.(i - 1)
+  let s = Fe.scratch () in
+  let table = Array.make (1 lsl rows) (Fe.one ()) in
+  table.(1) <- fe_of base;
+  for i = 1 to rows - 1 do
+    let x = Fe.copy table.(1 lsl (i - 1)) in
+    for _ = 1 to cols do
+      Fe.sqr s x x
+    done;
+    table.(1 lsl i) <- x;
+    for v = 1 to (1 lsl i) - 1 do
+      let y = Fe.copy x in
+      Fe.mul s y y table.(v);
+      table.((1 lsl i) lor v) <- y
+    done
   done;
   table
 
 let g_table = make_table g
 
-(* Exponents are always reduced mod n (< 2^255), so bit_length fits the
-   256-entry table. *)
-let pow_table table e =
-  let acc = ref Bignum.one in
-  for i = 0 to Bignum.bit_length e - 1 do
-    if Bignum.test_bit e i then acc := mul !acc table.(i)
+(* Combs of several bases share the one 32-step squaring chain. *)
+let multi_pow_table pairs =
+  let s = Fe.scratch () and acc = Fe.one () in
+  let combs =
+    List.map
+      (fun (table, e) ->
+        if Bignum.bit_length e > rows * cols then
+          invalid_arg "Group.multi_pow_table: exponent too wide";
+        (table, Bignum.to_bytes_be e))
+      pairs
+  in
+  for j = cols - 1 downto 0 do
+    Fe.sqr s acc acc;
+    List.iter
+      (fun (table, e_bytes) ->
+        let v = ref 0 in
+        for i = rows - 1 downto 0 do
+          v := (!v lsl 1) lor if bit e_bytes ((cols * i) + j) then 1 else 0
+        done;
+        if !v <> 0 then Fe.mul s acc acc table.(!v))
+      combs
   done;
-  !acc
+  bignum_of_fe acc
 
+let pow_table table e = multi_pow_table [ (table, e) ]
 let pow_g e = pow_table g_table e
-
-(* Shamir's trick: one shared squaring chain for both exponents. *)
-let dual_pow_g a ~base b =
-  let base = reduce base in
-  let g_base = mul g base in
-  let nbits = max (Bignum.bit_length a) (Bignum.bit_length b) in
-  let acc = ref Bignum.one in
-  for i = nbits - 1 downto 0 do
-    acc := mul !acc !acc;
-    (match (Bignum.test_bit a i, Bignum.test_bit b i) with
-    | true, true -> acc := mul !acc g_base
-    | true, false -> acc := mul !acc g
-    | false, true -> acc := mul !acc base
-    | false, false -> ())
-  done;
-  !acc
 
 (* Straus shared-window multi-exponentiation: prod_i b_i^(e_i) with one
    squaring chain shared across all bases and 4-bit windows. Per base the
-   precomputation is 15 multiplications (b^1..b^15); the scan then costs 4
-   squarings per window plus at most one multiplication per base per
-   window. For the two-base verification product this beats the bit-by-bit
-   Shamir chain (dual_pow_g) by skipping ~1/4 of the multiplies, and the
-   advantage grows with the number of bases since the 256 squarings are
-   paid once, not per base. *)
+   precomputation is 14 multiplications (b^2..b^15); the scan then costs
+   4 squarings per window plus at most one multiplication per base per
+   window, so the 256 squarings are paid once, not per base. *)
 let multi_pow pairs =
-  match pairs with
-  | [] -> Bignum.one
-  | pairs ->
-      let w = 4 in
-      let tables =
-        List.map
-          (fun (b, e) ->
-            let b = reduce b in
-            let tbl = Array.make 16 Bignum.one in
-            for d = 1 to 15 do
-              tbl.(d) <- mul tbl.(d - 1) b
-            done;
-            (tbl, e))
-          pairs
-      in
-      let nbits =
-        List.fold_left (fun acc (_, e) -> max acc (Bignum.bit_length e)) 0 pairs
-      in
-      let nwin = (nbits + w - 1) / w in
-      let acc = ref Bignum.one in
-      for win = nwin - 1 downto 0 do
-        if win < nwin - 1 then
-          for _ = 1 to w do
-            acc := mul !acc !acc
-          done;
-        List.iter
-          (fun (tbl, e) ->
-            let d = ref 0 in
-            for bit = w - 1 downto 0 do
-              d := (!d lsl 1) lor (if Bignum.test_bit e ((win * w) + bit) then 1 else 0)
-            done;
-            if !d <> 0 then acc := mul !acc tbl.(!d))
-          tables
+  let w = 4 in
+  let s = Fe.scratch () in
+  let windows =
+    List.map
+      (fun (b, e) ->
+        let tbl = Array.make 16 (fe_of b) in
+        for d = 2 to 15 do
+          let x = Fe.copy tbl.(d - 1) in
+          Fe.mul s x x tbl.(1);
+          tbl.(d) <- x
+        done;
+        (tbl, Bignum.to_bytes_be e))
+      pairs
+  in
+  let nbits = List.fold_left (fun acc (_, e) -> max acc (Bignum.bit_length e)) 0 pairs in
+  let nwin = (nbits + w - 1) / w in
+  let acc = Fe.one () in
+  for win = nwin - 1 downto 0 do
+    if win < nwin - 1 then
+      for _ = 1 to w do
+        Fe.sqr s acc acc
       done;
-      !acc
+    List.iter
+      (fun (tbl, e_bytes) ->
+        let d = ref 0 in
+        for b = w - 1 downto 0 do
+          d := (!d lsl 1) lor if bit e_bytes ((win * w) + b) then 1 else 0
+        done;
+        if !d <> 0 then Fe.mul s acc acc tbl.(!d))
+      windows
+  done;
+  bignum_of_fe acc
 
-let scalar_of_bytes s = Bignum.rem (Bignum.of_bytes_be s) n
+let pow b e = multi_pow [ (b, e) ]
+let scalar_of_bytes s = reduce_scalar (Bignum.of_bytes_be s)
 
 let element_of_bytes s =
   if String.length s <> 32 then None

@@ -1,9 +1,10 @@
 (** The multiplicative group used by {!Schnorr}.
 
-    Arithmetic modulo the pseudo-Mersenne prime [p = 2^255 - 19] with fast
-    reduction (a 510-bit product folds as [hi*19 + lo]). Exponents live
-    modulo the group exponent [n = p - 1]. Simulation substitute for the
-    paper's secp256k1: same 256-bit modular cost profile. *)
+    Arithmetic modulo the pseudo-Mersenne prime [p = 2^255 - 19]. Elements
+    are {!Bignum}s at this interface; every product and power runs on the
+    fixed-width {!Fe} limbs. Exponents live modulo the group exponent
+    [n = p - 1 = 2^255 - 20]. Simulation substitute for the paper's
+    secp256k1: same 256-bit modular cost profile. *)
 
 val p : Bignum.t
 (** The field prime, [2^255 - 19]. *)
@@ -15,31 +16,46 @@ val g : Bignum.t
 (** The fixed generator (2). *)
 
 val reduce : Bignum.t -> Bignum.t
-(** [reduce x] is [x mod p], using the pseudo-Mersenne fold. *)
+(** [reduce x] is [x mod p] on {!Bignum}s, folding [2^255 ≡ 19 (mod p)]; the
+    reference the fixed-width field is tested against. *)
+
+val reduce_scalar : Bignum.t -> Bignum.t
+(** [reduce_scalar x] is [x mod n], folding [2^255 ≡ 20 (mod n)]. *)
+
+(** The functions below take elements and bases below [2^256] (any
+    32-byte value; they need not be reduced) and return reduced elements.
+    @raise Invalid_argument on a wider base. *)
 
 val mul : Bignum.t -> Bignum.t -> Bignum.t
-(** Product mod [p]. Arguments must already be reduced. *)
+(** Product mod [p]. *)
 
 val pow : Bignum.t -> Bignum.t -> Bignum.t
-(** [pow b e] is [b^e mod p] by square-and-multiply with fast reduction. *)
+(** [pow b e] is [b^e mod p] ({!multi_pow} with one base). *)
 
-val pow_g : Bignum.t -> Bignum.t
-(** [pow_g e] is [g^e mod p] using a precomputed fixed-base table
-    (~2x faster than [pow g e]; used by signing). *)
+type table
+(** A fixed-base table for one base. Immutable once built, so domains may
+    share it. *)
 
-val make_table : Bignum.t -> Bignum.t array
-(** [make_table b] precomputes the fixed-base table [b^(2^i)] for
-    [i] in [0, 256) (255 squarings). With the table, [pow_table] costs one
-    multiplication per set exponent bit and no squarings — worth building
-    for any key that verifies more than two signatures. *)
+val make_table : Bignum.t -> table
+(** [make_table b] precomputes a 256-entry fixed-base comb (224
+    squarings and 247 multiplications). With it, [pow_table] costs 32
+    squarings and at most 32 multiplications, against 252 squarings and
+    about 74 multiplications for {!pow}. *)
 
-val pow_table : Bignum.t array -> Bignum.t -> Bignum.t
+val pow_table : table -> Bignum.t -> Bignum.t
 (** [pow_table t e] is [b^e mod p] for the base [t] was built from.
     [e] must be reduced mod {!n}. *)
 
-val dual_pow_g : Bignum.t -> base:Bignum.t -> Bignum.t -> Bignum.t
-(** [dual_pow_g a ~base b] is [g^a * base^b mod p] by simultaneous
-    (Shamir) exponentiation; used by verification of unknown keys. *)
+val g_table : table
+(** The table of {!g}, built at start-up. *)
+
+val pow_g : Bignum.t -> Bignum.t
+(** [pow_g e] is [pow_table g_table e]; used by signing. *)
+
+val multi_pow_table : (table * Bignum.t) list -> Bignum.t
+(** [multi_pow_table [(t1, e1); ...]] is [prod bi^ei mod p] for the bases
+    the tables were built from; the products share one squaring chain.
+    Every [ei] must be reduced mod {!n}. *)
 
 val multi_pow : (Bignum.t * Bignum.t) list -> Bignum.t
 (** [multi_pow [(b1, e1); ...]] is [prod bi^ei mod p] by Straus

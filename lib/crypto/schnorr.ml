@@ -1,10 +1,10 @@
 type secret_key = { x : Bignum.t; seed : string; pk_bytes : string }
 
-(* [table] is the per-key fixed-base precomputation (y^(2^i)); built on
-   demand for keys that verify repeatedly (replica keys, chatty clients).
-   The array is immutable after build, so concurrent readers are safe; a
-   racing rebuild just wastes 255 squarings. *)
-type public_key = { y : Bignum.t; y_bytes : string; mutable table : Bignum.t array option }
+(* [table] is the per-key fixed-base comb of y; built on demand for keys
+   that verify repeatedly (replica keys, chatty clients). It is immutable
+   after build, so concurrent readers are safe; a racing rebuild just
+   wastes one build. *)
+type public_key = { y : Bignum.t; y_bytes : string; mutable table : Group.table option }
 
 let signature_size = 64
 let pp_public_key ppf pk = Format.pp_print_string ppf (Iaccf_util.Hex.encode pk.y_bytes)
@@ -47,7 +47,7 @@ let sign sk digest =
   let r = Group.pow_g k in
   let r_bytes = Group.element_to_bytes r in
   let e = challenge r_bytes pk_bytes digest in
-  let s = Bignum.rem (Bignum.add k (Bignum.mul e sk.x)) Group.n in
+  let s = Group.reduce_scalar (Bignum.add k (Bignum.mul e sk.x)) in
   Bignum.to_bytes_be_fixed 32 e ^ Bignum.to_bytes_be_fixed 32 s
 
 let verify pk digest ~signature =
@@ -60,12 +60,13 @@ let verify pk digest ~signature =
   && Bignum.compare s Group.n < 0
   &&
   (* R' = g^s * y^(n-e); y^n = 1, so this inverts y^e without divisions.
-     Known keys use two fixed-base tables (no squarings at all); unknown
-     keys share one Straus window chain across both bases. *)
+     Known keys pair their fixed-base comb with g's on one 32-step
+     squaring chain; unknown keys share one Straus window chain across
+     both bases. *)
   let ne = Bignum.sub Group.n e in
   let r' =
     match pk.table with
-    | Some table -> Group.mul (Group.pow_g s) (Group.pow_table table ne)
+    | Some table -> Group.multi_pow_table [ (Group.g_table, s); (table, ne) ]
     | None -> Group.multi_pow [ (Group.g, s); (pk.y, ne) ]
   in
   let e' = challenge (Group.element_to_bytes r') pk.y_bytes digest in

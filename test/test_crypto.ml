@@ -240,7 +240,14 @@ let test_group_table_pow () =
   (* A full-width exponent exercises every table entry the value touches. *)
   let e = Bignum.sub Group.n Bignum.one in
   check bn_testable "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
-  check bn_testable "g_table consistent" (Group.pow Group.g e) (Group.pow_g e)
+  check bn_testable "g_table consistent" (Group.pow Group.g e) (Group.pow_g e);
+  let a = Bignum.of_int 0xdeadbeef in
+  check bn_testable "g^a * base^e on one chain"
+    (Group.mul (Group.pow Group.g a) (Group.pow base e))
+    (Group.multi_pow_table [ (Group.g_table, a); (table, e) ]);
+  Alcotest.check_raises "exponent wider than the comb"
+    (Invalid_argument "Group.multi_pow_table: exponent too wide") (fun () ->
+      ignore (Group.pow_table table (Bignum.shift_left Bignum.one 256)))
 
 let prop_group_multi_pow =
   QCheck.Test.make ~name:"multi_pow = product of pows" ~count:15
@@ -249,6 +256,94 @@ let prop_group_multi_pow =
       let y = Group.pow_g (bn c) in
       let expect = Group.mul (Group.pow Group.g (bn a)) (Group.pow y (bn b)) in
       Bignum.equal expect (Group.multi_pow [ (Group.g, bn a); (y, bn b) ]))
+
+(* --- Fe: the fixed-width field against the Bignum reference --- *)
+
+let fe_hex x = Hex.encode (Fe.to_bytes x)
+let ref_hex v = Hex.encode (Bignum.to_bytes_be_fixed 32 (Group.reduce v))
+let two_pow k = Bignum.shift_left Bignum.one k
+
+(* The value of ten raw 26-bit limbs, as the reference sees it. *)
+let bignum_of_limbs l =
+  Array.fold_right (fun limb acc -> Bignum.add (Bignum.shift_left acc 26) (bn limb)) l Bignum.zero
+
+let bytes32 = QCheck.(string_of_size (Gen.return 32))
+
+let prop_fe_mul =
+  QCheck.Test.make ~name:"mul = reduce (Bignum.mul a b)" ~count:500 (QCheck.pair bytes32 bytes32)
+    (fun (a, b) ->
+      let x = Fe.of_bytes a in
+      Fe.mul (Fe.scratch ()) x x (Fe.of_bytes b);
+      fe_hex x = ref_hex (Bignum.mul (Bignum.of_bytes_be a) (Bignum.of_bytes_be b)))
+
+let prop_fe_sqr =
+  QCheck.Test.make ~name:"sqr = reduce (Bignum.mul a a)" ~count:500 bytes32 (fun a ->
+      let x = Fe.of_bytes a in
+      Fe.sqr (Fe.scratch ()) x x;
+      let v = Bignum.of_bytes_be a in
+      fe_hex x = ref_hex (Bignum.mul v v))
+
+let prop_fe_bytes =
+  QCheck.Test.make ~name:"to_bytes (of_bytes s) = reduce s" ~count:500 bytes32 (fun a ->
+      fe_hex (Fe.of_bytes a) = ref_hex (Bignum.of_bytes_be a))
+
+let test_fe_edges () =
+  let open Bignum in
+  let values =
+    [ zero; one; sub Group.p one; Group.p; add Group.p one; sub (two_pow 255) one;
+      add Group.p (bn 18); sub (two_pow 256) one ]
+  in
+  let limb_sets =
+    [ Array.make 10 ((1 lsl 26) - 1); Array.make 10 (1 lsl 26); Array.make 10 ((1 lsl 27) - 1);
+      Array.init 10 (fun i -> if i mod 2 = 0 then (1 lsl 26) + i else (1 lsl 26) - 1 - i) ]
+  in
+  let cases =
+    List.map (fun v -> (to_hex v, Fe.of_bytes (to_bytes_be_fixed 32 v), v)) values
+    @ List.map (fun l -> ("limbs " ^ to_hex (bignum_of_limbs l), Fe.of_limbs l, bignum_of_limbs l)) limb_sets
+  in
+  let s = Fe.scratch () in
+  List.iter
+    (fun (la, x, va) ->
+      check Alcotest.string ("encode " ^ la) (ref_hex va) (fe_hex x);
+      let sq = Fe.copy x in
+      Fe.sqr s sq sq;
+      check Alcotest.string ("sqr " ^ la) (ref_hex (mul va va)) (fe_hex sq);
+      List.iter
+        (fun (lb, y, vb) ->
+          let r = Fe.one () in
+          Fe.mul s r x y;
+          check Alcotest.string (Printf.sprintf "mul %s %s" la lb) (ref_hex (mul va vb)) (fe_hex r))
+        cases)
+    cases;
+  Alcotest.check_raises "limb out of range" (Invalid_argument "Fe.of_limbs: need ten limbs in [0, 2^27)")
+    (fun () -> ignore (Fe.of_limbs (Array.make 10 (1 lsl 27))))
+
+(* x^(2^k) by k squarings, against square-and-multiply with long
+   division: any carry slip in a loose intermediate compounds. *)
+let test_fe_sqr_chain () =
+  let k = 10_000 in
+  let seed = Sha256.digest "fe-chain" in
+  let x = Fe.of_bytes seed and s = Fe.scratch () in
+  for _ = 1 to k do
+    Fe.sqr s x x
+  done;
+  check Alcotest.string "x^(2^10000)"
+    (Hex.encode (Bignum.to_bytes_be_fixed 32 (Bignum.mod_pow (Bignum.of_bytes_be seed) (two_pow k) Group.p)))
+    (fe_hex x)
+
+let prop_scalar_fold =
+  QCheck.Test.make ~name:"reduce_scalar = rem n, up to 512 bits" ~count:500
+    QCheck.(string_of_size (Gen.int_range 0 64))
+    (fun b ->
+      let v = Bignum.of_bytes_be b in
+      Bignum.equal (Bignum.rem v Group.n) (Group.reduce_scalar v))
+
+let test_scalar_fold_edges () =
+  let open Bignum in
+  List.iter
+    (fun v -> check bn_testable (to_hex v) (rem v Group.n) (Group.reduce_scalar v))
+    [ zero; sub Group.n one; Group.n; add Group.n one; two_pow 255; sub (two_pow 512) one;
+      mul Group.n Group.n; sub (mul Group.n Group.n) one ]
 
 (* --- Schnorr --- *)
 
@@ -313,6 +408,65 @@ let prop_schnorr_cross_rejects =
       let digest = Sha256.digest "msg" in
       not (Schnorr.verify pk2 digest ~signature:(Schnorr.sign sk digest)))
 
+(* Known answers: keys and signatures are part of every ledger and
+   receipt, so any change to the arithmetic under them must leave these
+   bytes exactly as they are. *)
+let schnorr_kat =
+  [
+    ( "kat-0",
+      "genesis",
+      "0553fad7e9544537260b4433837a4a896cd2f4be0d5d3794965c2df1d3bc882e",
+      "19c669bdcb0befcd2cf39e707c4da66a1748eba24108e7635cfa6da4fb419f93\
+       7e5d92be40ca61cfec93a1f23a0cb1fa61f1a07505c64b9fd050ea22c8a751ce" );
+    ( "replica-3",
+      "pre-prepare 1",
+      "01e8d82c263af2c05cb14c6562bf107ab7d986bbaab8cd4885fa9678ceeac5c1",
+      "10dcc90871ecd7a739eca1fb9ab51527f4d51f37478e1366c953502e31c31d4a\
+       1560b4c8e442d3c3a4a1772e15422ee4c99d97f3101c01ed8fb700e6fd5a334c" );
+    ( "client-\x00\xff",
+      "",
+      "201b8cdca7379b55ab460346100b617618037384e19bc9c1a16f89789dc8d20f",
+      "7f49bc3188b6edef921fdd97e29057865ffefa31d3db0c0199020de43bde4dbe\
+       3da6ab1cbfd543bc871c5165d1e6266b9417864cc55e58f4bd4d1d25b481edc4" );
+  ]
+
+let test_schnorr_known_answers () =
+  List.iter
+    (fun (seed, msg, pk_hex, sig_hex) ->
+      let sk, pk = Schnorr.keypair_of_seed seed in
+      let digest = Sha256.digest msg in
+      let signature = Schnorr.sign sk digest in
+      check Alcotest.string (seed ^ " public key") pk_hex
+        (Hex.encode (Schnorr.public_key_to_bytes pk));
+      check Alcotest.string (seed ^ " signature") sig_hex (Hex.encode signature);
+      let flipped i =
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x80) else c) signature
+      in
+      let verify_all pk =
+        check Alcotest.bool (seed ^ " verifies") true (Schnorr.verify pk digest ~signature);
+        List.iter
+          (fun i ->
+            check Alcotest.bool
+              (Printf.sprintf "%s byte %d flipped" seed i)
+              false
+              (Schnorr.verify pk digest ~signature:(flipped i)))
+          [ 0; 31; 32; 63 ]
+      in
+      verify_all pk;
+      Schnorr.precompute pk;
+      verify_all pk)
+    schnorr_kat;
+  (* 500 more keys and signatures, pinned through one digest. *)
+  let ctx = Sha256.init () in
+  for i = 0 to 499 do
+    let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "kat-bulk-%d" i) in
+    Sha256.feed ctx (Schnorr.public_key_to_bytes pk);
+    Sha256.feed ctx (Schnorr.sign sk (Sha256.digest (string_of_int i)))
+  done;
+  check Alcotest.string "500 keys and signatures"
+    "32711026917912780174520a52da98c64155048e865d583fb0fa6527b7adc285"
+    (Hex.encode (Sha256.finalize ctx))
+
 let test_schnorr_precompute_matches () =
   let sk, pk = Schnorr.keypair_of_seed "tabled" in
   let digest = Sha256.digest "message" in
@@ -363,6 +517,15 @@ let test_nonce_derive_distinct () =
 
 (* --- Parverify --- *)
 
+let flip_bit s bit =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    let i = bit / 8 mod n and b = bit mod 8 in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+      s
+
 let par_jobs n =
   List.init n (fun i ->
       let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "par-%d" i) in
@@ -389,14 +552,26 @@ let test_parverify_rejects_bad_job () =
     (fun i ok -> check Alcotest.bool (Printf.sprintf "job %d" i) (i <> 7) ok)
     results
 
+(* Every third key verifies through its fixed-base table, which all
+   domains read at once, and every fifth signature is corrupted; results
+   must match the sequential run and the known validity of each job. *)
 let test_parverify_matches_sequential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"parallel = sequential" ~count:5
        QCheck.(int_range 0 20)
        (fun n ->
-         let jobs = par_jobs n in
-         Parverify.verify_batch_results ~domains:1 jobs
-         = Parverify.verify_batch_results ~domains:4 jobs))
+         let jobs =
+           List.mapi
+             (fun i j ->
+               if i mod 3 = 0 then Schnorr.precompute j.Parverify.j_pk;
+               if i mod 5 = 4 then
+                 { j with Parverify.j_signature = flip_bit j.Parverify.j_signature (8 * i) }
+               else j)
+             (par_jobs n)
+         in
+         let expect = List.init n (fun i -> i mod 5 <> 4) in
+         let seq = Parverify.verify_batch_results ~domains:1 jobs in
+         seq = expect && Parverify.verify_batch_results ~domains:4 jobs = seq))
 
 (* Worker domains must survive raising tasks (they are process-global, so
    one dead domain would shrink the pool for the rest of the run), a
@@ -435,15 +610,6 @@ let test_pool_survives_raising_tasks () =
     (Parverify.verify_batch ~domains:4 (par_jobs 8))
 
 (* --- Vstage: the batched, pool-backed verify stage --- *)
-
-let flip_bit s bit =
-  let n = String.length s in
-  if n = 0 then s
-  else
-    let i = bit / 8 mod n and b = bit mod 8 in
-    String.mapi
-      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
-      s
 
 (* The stage must agree with inline Schnorr.verify in both modes — on
    valid signatures and on inputs with a random bit flipped in the public
@@ -591,6 +757,16 @@ let () =
           qtest prop_group_pow_homomorphism;
           qtest prop_group_multi_pow;
         ] );
+      ( "fe",
+        [
+          qtest prop_fe_mul;
+          qtest prop_fe_sqr;
+          qtest prop_fe_bytes;
+          Alcotest.test_case "edge values and loose limbs" `Quick test_fe_edges;
+          Alcotest.test_case "10k squaring chain" `Quick test_fe_sqr_chain;
+          qtest prop_scalar_fold;
+          Alcotest.test_case "scalar fold edges" `Quick test_scalar_fold_edges;
+        ] );
       ( "schnorr",
         [
           Alcotest.test_case "sign/verify" `Quick test_schnorr_sign_verify;
@@ -603,6 +779,7 @@ let () =
           qtest prop_schnorr_cross_rejects;
           Alcotest.test_case "precompute matches" `Quick
             test_schnorr_precompute_matches;
+          Alcotest.test_case "known answers" `Quick test_schnorr_known_answers;
         ] );
       ( "parverify",
         [
