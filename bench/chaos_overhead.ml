@@ -6,54 +6,14 @@
    time, completions, and client-visible outputs; wall-clock overhead gets
    a generous noise bound. *)
 
-open Iaccf_core
-module Network = Iaccf_sim.Network
-module Sched = Iaccf_sim.Sched
-
 let fail fmt =
   Printf.ksprintf (fun s -> prerr_endline ("chaos-overhead: " ^ s); exit 1) fmt
 
 let requests = 30
 
-type run = {
-  virtual_ms : float;
-  completions : (string * (string, string) result) list;
-      (* (args, output) in completion order *)
-  wall_s : float;
-}
-
-let run_workload ~intercepted () =
-  let t0 = Unix.gettimeofday () in
-  let cluster = Cluster.make ~seed:42 ~n:4 () in
-  if intercepted then
-    for id = 0 to 3 do
-      Network.set_intercept (Cluster.network cluster) id (fun ~dst msg ->
-          [ (dst, msg) ])
-    done;
-  let client = Cluster.add_client cluster () in
-  let completions = ref [] in
-  for i = 1 to requests do
-    let args = string_of_int i in
-    Client.submit client ~proc:"counter/add" ~args
-      ~on_complete:(fun oc ->
-        completions := (args, oc.Client.oc_output) :: !completions)
-      ()
-  done;
-  if not (Cluster.run_until cluster (fun () -> List.length !completions = requests))
-  then
-    fail "%s run stalled: %d/%d requests completed"
-      (if intercepted then "intercepted" else "direct")
-      (List.length !completions) requests;
-  Cluster.run cluster ~ms:500.0;
-  {
-    virtual_ms = Sched.now (Cluster.sched cluster);
-    completions = List.rev !completions;
-    wall_s = Unix.gettimeofday () -. t0;
-  }
-
 let () =
-  let direct = run_workload ~intercepted:false () in
-  let wrapped = run_workload ~intercepted:true () in
+  let direct = Harness.intercept_run ~requests ~intercepted:false in
+  let wrapped = Harness.intercept_run ~requests ~intercepted:true in
   if wrapped.virtual_ms <> direct.virtual_ms then
     fail "virtual time diverged: direct %.4f ms, intercepted %.4f ms"
       direct.virtual_ms wrapped.virtual_ms;
@@ -69,8 +29,8 @@ let () =
     let rec go n best =
       if n = 0 then best
       else
-        let d = (run_workload ~intercepted:false ()).wall_s in
-        let w = (run_workload ~intercepted:true ()).wall_s in
+        let d = (Harness.intercept_run ~requests ~intercepted:false).wall_s in
+        let w = (Harness.intercept_run ~requests ~intercepted:true).wall_s in
         let r = if d > 0.0 then w /. d else 1.0 in
         go (n - 1) (min best r)
     in
@@ -94,5 +54,4 @@ let () =
         direct.virtual_ms;
       Report.row ~bench ~series ~metric:"best_wall_ratio" ~gate:Report.Info
         best_ratio;
-    ];
-  Printf.eprintf "wrote BENCH_chaos_overhead.json\n%!"
+    ]

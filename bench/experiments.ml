@@ -81,8 +81,7 @@ let table1 () =
       brow ~series:"f=1" ~metric:"nonce_evidence_bytes" n1;
       brow ~series:"f=3" ~metric:"prepare_evidence_bytes" e3;
       brow ~series:"f=3" ~metric:"nonce_evidence_bytes" n3;
-    ];
-  Printf.eprintf "wrote BENCH_table1.json\n%!"
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: throughput/latency under increasing load (f=1)               *)
@@ -118,9 +117,10 @@ let fig4 ?(total = 240) () =
            ~label:(Printf.sprintf "IA-CCF-open r=%.0f/s" rate)
            ~rate ()))
     [ 50.0; 150.0; 300.0 ];
-  write_bench_json ~file:"BENCH_fig4.json" ~bench:"fig4"
+  let bench = "fig4" in
+  Report.write_rows ~file:"BENCH_fig4.json" ~bench
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench) (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: request latency under low load (WAN)                        *)
@@ -138,7 +138,9 @@ let table2 () =
     ia.rr_p99_latency_ms "2";
   Printf.printf "%-12s %9.1f ms %9.1f ms %14s\n" "HotStuff" hs.rr_avg_latency_ms
     hs.rr_p99_latency_ms "4.5";
-  write_bench_json ~file:"BENCH_table2.json" ~bench:"table2" [ ia; hs ]
+  let bench = "table2" in
+  Report.write_rows ~file:"BENCH_table2.json" ~bench
+    (List.concat_map (rows_of_result ~bench) [ ia; hs ])
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: throughput vs replica count (WAN)                            *)
@@ -161,9 +163,10 @@ let fig5 ?(total = 150) () =
       keep
         (run_hotstuff ~label:(lbl "HotStuff (WAN)") ~n ~latency:Latency.wan ~total ()))
     [ 4; 7; 10 ];
-  write_bench_json ~file:"BENCH_fig5.json" ~bench:"fig5"
+  let bench = "fig5" in
+  Report.write_rows ~file:"BENCH_fig5.json" ~bench
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench) (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: checkpoint interval x key-value store size                   *)
@@ -185,9 +188,10 @@ let fig6 ?(total = 200) () =
           acc := r :: !acc)
         [ 10; 50; 200 ])
     [ 100; 1000; 10000 ];
-  write_bench_json ~file:"BENCH_fig6.json" ~bench:"fig6"
+  let bench = "fig6" in
+  Report.write_rows ~file:"BENCH_fig6.json" ~bench
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench) (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: key-value store size sweep                                   *)
@@ -204,9 +208,10 @@ let fig7 ?(total = 200) () =
       print_result r;
       acc := r :: !acc)
     [ 10; 100; 1000; 10000; 50000 ];
-  write_bench_json ~file:"BENCH_fig7.json" ~bench:"fig7"
+  let bench = "fig7" in
+  Report.write_rows ~file:"BENCH_fig7.json" ~bench
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench) (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: breakdown of IA-CCF features                                *)
@@ -293,11 +298,12 @@ let table3 ?(total = 240) ?(verify_domains = 0) () =
   Printf.printf "%-28s %6d tx  %8.1f tx/s  (analytic fast path; %d signatures)\n%!"
     "Pompe (empty requests)" p.Iaccf_baselines.Pompe.r_commands
     p.Iaccf_baselines.Pompe.r_throughput p.Iaccf_baselines.Pompe.r_signatures;
-  write_bench_json
+  let bench = "table3" in
+  Report.write_rows
     ~file:
       (if verify_domains > 1 then "BENCH_table3_pooled.json"
        else "BENCH_table3.json")
-    ~bench:"table3"
+    ~bench
     ~meta:
       [
         ("total", string_of_int total);
@@ -305,7 +311,7 @@ let table3 ?(total = 240) ?(verify_domains = 0) () =
         ("pompe_txs", string_of_int p.Iaccf_baselines.Pompe.r_commands);
         ("pompe_signatures", string_of_int p.Iaccf_baselines.Pompe.r_signatures);
       ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench) (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* §6.3: receipt validation cost                                        *)
@@ -361,8 +367,7 @@ let receipts_bench () =
               ])
         [ 300; 800 ])
     [ (4, "f=1"); (10, "f=3") ];
-  Report.write_rows ~file:"BENCH_receipts.json" ~bench:"receipts" !rows;
-  Printf.eprintf "wrote BENCH_receipts.json\n%!"
+  Report.write_rows ~file:"BENCH_receipts.json" ~bench:"receipts" !rows
 
 (* ------------------------------------------------------------------ *)
 (* §6.4: governance sub-ledger sizes                                    *)
@@ -397,8 +402,7 @@ let governance_bench () =
               (float_of_int (Receipt.size_bytes tx_receipt));
           ])
     [ (4, "f=1"); (10, "f=3") ];
-  Report.write_rows ~file:"BENCH_governance.json" ~bench:"governance" !rows;
-  Printf.eprintf "wrote BENCH_governance.json\n%!"
+  Report.write_rows ~file:"BENCH_governance.json" ~bench:"governance" !rows
 
 (* ------------------------------------------------------------------ *)
 (* §6.5: auditing vs execution speed                                    *)
@@ -478,8 +482,7 @@ let audit_bench () =
               ~gate:Report.Info audit_time;
           ])
     [ (4, "f=1", 200); (13, "f=4", 60) ];
-  Report.write_rows ~file:"BENCH_audit.json" ~bench:"audit" !rows;
-  Printf.eprintf "wrote BENCH_audit.json\n%!"
+  Report.write_rows ~file:"BENCH_audit.json" ~bench:"audit" !rows
 
 (* ------------------------------------------------------------------ *)
 (* Durable storage: append throughput and recovery time vs segment     *)
@@ -579,5 +582,4 @@ let storage_bench ?(appends = 2000) () =
               ])
         policies)
     [ 64; 1024 ];
-  Report.write_rows ~file:"BENCH_storage.json" ~bench:"storage" !rows;
-  Printf.eprintf "wrote BENCH_storage.json\n%!"
+  Report.write_rows ~file:"BENCH_storage.json" ~bench:"storage" !rows

@@ -306,55 +306,10 @@ let print_result ?(phases = false) r =
           name p50 p90 p99)
       r.rr_phases
 
-(* --- machine-readable results: BENCH_<name>.json ----------------------
-
-   Hand-rolled emitter (the toolchain ships no JSON library): flat
-   objects built from [run_result], so sweep scripts and CI can diff
-   bench output without scraping the human tables. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-(* Printf %f renders nan/inf unquoted, which is not JSON. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.4f" f else "null"
-
-let json_of_result r =
-  let phases =
-    List.map
-      (fun (name, p50, p90, p99) ->
-        Printf.sprintf "{\"name\":%s,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s}"
-          (json_str name) (json_float p50) (json_float p90) (json_float p99))
-      r.rr_phases
-  in
-  Printf.sprintf
-    "{\"label\":%s,\"txs\":%d,\"wall_s\":%s,\"throughput_tx_s\":%s,\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,\"p99_latency_ms\":%s,\"sigs_made\":%d,\"sigs_verified\":%d,\"phases\":[%s]}"
-    (json_str r.rr_label) r.rr_txs (json_float r.rr_wall_s)
-    (json_float r.rr_throughput)
-    (json_float r.rr_avg_latency_ms)
-    (json_float r.rr_p50_latency_ms)
-    (json_float r.rr_p99_latency_ms)
-    r.rr_sigs_made r.rr_sigs_verified
-    (String.concat "," phases)
-
 (* Flatten a [run_result] into the report layer's gated rows: counts are
    seed-deterministic (exact gate), virtual-clock latencies get the ms
-   tolerance gate, wall-clock-derived numbers are informational. Used by
-   the regress bench so every table row lands in the trajectory. *)
+   tolerance gate, wall-clock-derived numbers are informational. Every
+   bench that measures [run_result]s writes them through this. *)
 let rows_of_result ~bench r =
   let open Iaccf_report.Report in
   let series = r.rr_label in
@@ -378,20 +333,112 @@ let rows_of_result ~bench r =
         ])
       r.rr_phases
 
-let write_bench_json ~file ~bench ?(meta = []) results =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc "{\n";
-  Printf.fprintf oc "  \"bench\": %s,\n" (json_str bench);
-  List.iter
-    (fun (k, raw) -> Printf.fprintf oc "  %s: %s,\n" (json_str k) raw)
-    meta;
-  output_string oc "  \"results\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    %s%s\n" (json_of_result r)
-        (if i = n - 1 then "" else ","))
-    results;
-  output_string oc "  ]\n}\n";
-  Printf.eprintf "wrote %s\n%!" file
+(* --- state sync: chunked catch-up of a joining replica --------------
+   Shared by @statesync-bench and, at its smallest size, @bench-regress. *)
+
+let statesync_params =
+  {
+    Replica.default_params with
+    checkpoint_interval = 10;
+    max_batch = 4;
+    snapshot_interval = 10;
+  }
+
+(* Closed loop of [counter/add] requests, [concurrency] in flight (an
+   open-loop flood of the whole load distorts the queues), then 2 s of
+   virtual time for the last commits to settle. *)
+let drive_counter cluster client ~txs ~concurrency =
+  let _, completed =
+    Pump.closed_loop ~total:txs ~concurrency
+      ~submit:(fun ~seq ~on_complete ->
+        Client.submit client ~proc:"counter/add" ~args:(string_of_int seq)
+          ~on_complete:(fun _ -> on_complete ())
+          ())
+      ()
+  in
+  if
+    not
+      (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
+           !completed >= txs))
+  then failwith (Printf.sprintf "workload of %d requests did not complete" txs);
+  Cluster.run cluster ~ms:2_000.0
+
+(* A fresh replica joins after [txs] commits and syncs through the chunked
+   snapshot + suffix protocol. Returns (ledger entries, catch-up wall
+   seconds, snapshot bytes, chunks, entries adopted without
+   re-execution). *)
+let catchup_run ~txs ~concurrency =
+  let obs = Obs.create ~metrics:true ~tracing:false () in
+  let cluster = Cluster.make ~seed:7 ~n:4 ~params:statesync_params ~obs () in
+  let client = Cluster.add_client cluster () in
+  drive_counter cluster client ~txs ~concurrency;
+  let r0 = Cluster.replica cluster 0 in
+  (* A joiner outside the member set learns commits only from the ledger,
+     so the last pipeline of batches stays uncertified for it: catch-up is
+     complete once it holds the stable prefix. *)
+  let target =
+    Replica.last_committed r0 - statesync_params.Replica.checkpoint_interval
+  in
+  let entries = Iaccf_ledger.Ledger.length (Replica.ledger r0) in
+  let joiner = Cluster.spawn_replica cluster ~id:4 in
+  let t0 = Unix.gettimeofday () in
+  Replica.join_snapshot joiner ~from:0;
+  if
+    not
+      (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
+           Replica.last_committed joiner >= target))
+  then failwith (Printf.sprintf "joiner did not catch up to seqno %d" target);
+  let wall = Unix.gettimeofday () -. t0 in
+  let c name = Obs.counter_value obs name in
+  if c "statesync.installs" < 1 then
+    failwith (Printf.sprintf "catch-up at %d txs installed no snapshot" txs);
+  ( entries,
+    wall,
+    c "statesync.bytes",
+    c "statesync.chunks",
+    c "statesync.entries_skipped" )
+
+(* --- chaos: a fault-free run with or without an identity intercept on
+   every replica's outbound traffic (the hook the chaos harness's
+   Byzantine wrappers hang off). Shared by @chaos-overhead and, smaller,
+   @bench-regress. *)
+
+type intercept_run = {
+  virtual_ms : float;
+  completions : (string * (string, string) result) list;
+      (* (args, output) in completion order *)
+  wall_s : float;
+}
+
+let intercept_run ~requests ~intercepted =
+  let t0 = Unix.gettimeofday () in
+  let cluster = Cluster.make ~seed:42 ~n:4 () in
+  if intercepted then
+    for id = 0 to 3 do
+      Network.set_intercept (Cluster.network cluster) id (fun ~dst msg ->
+          [ (dst, msg) ])
+    done;
+  let client = Cluster.add_client cluster () in
+  let completions = ref [] in
+  for i = 1 to requests do
+    let args = string_of_int i in
+    Client.submit client ~proc:"counter/add" ~args
+      ~on_complete:(fun oc ->
+        completions := (args, oc.Client.oc_output) :: !completions)
+      ()
+  done;
+  if
+    not
+      (Cluster.run_until cluster (fun () ->
+           List.length !completions = requests))
+  then
+    failwith
+      (Printf.sprintf "%s run stalled: %d/%d requests completed"
+         (if intercepted then "intercepted" else "direct")
+         (List.length !completions) requests);
+  Cluster.run cluster ~ms:500.0;
+  {
+    virtual_ms = Sched.now (Cluster.sched cluster);
+    completions = List.rev !completions;
+    wall_s = Unix.gettimeofday () -. t0;
+  }

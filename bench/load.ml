@@ -268,5 +268,4 @@ let () =
   let rows = List.concat_map rows_of_open results @ pool_rows @ session_rows in
   Report.write_rows ~file:"BENCH_load.json" ~bench:"load"
     ~meta:[ ("duration_ms", Printf.sprintf "%.0f" duration_ms) ]
-    rows;
-  Printf.eprintf "wrote BENCH_load.json\n%!"
+    rows

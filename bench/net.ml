@@ -213,5 +213,4 @@ let () =
         ("concurrency", string_of_int concurrency);
         ("transport", "unix-sockets");
       ]
-    rows;
-  Printf.eprintf "wrote BENCH_net.json\n%!"
+    rows

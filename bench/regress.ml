@@ -2,7 +2,7 @@
    gated metrics (transaction/signature counts, virtual-clock latencies)
    must match the committed baselines in bench/baselines/.
 
-   Three miniature benches ride the same code paths as the full suite:
+   Five miniature benches ride the same code paths as the full suite:
 
    - smallbank: closed-loop SmallBank load through Harness.run_iaccf, in
      the full, no-receipt and signed-commit-ablation variants;
@@ -25,10 +25,7 @@
    from the repo root. *)
 
 open Iaccf_core
-module Network = Iaccf_sim.Network
-module Sched = Iaccf_sim.Sched
 module Obs = Iaccf_obs.Obs
-module Ledger = Iaccf_ledger.Ledger
 module Report = Iaccf_report.Report
 open Harness
 
@@ -47,48 +44,13 @@ let smallbank_results () =
       ~concurrency ~accounts ();
   ]
 
-(* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,
-   whose module has a toplevel main and so cannot be linked here) ------- *)
+(* --- statesync: the @statesync-bench catch-up at its smallest size ---- *)
 
 let statesync_rows () =
-  let params =
-    {
-      Replica.default_params with
-      checkpoint_interval = 10;
-      max_batch = 4;
-      snapshot_interval = 10;
-    }
-  in
   let txs = 100 in
-  let obs = Obs.create ~metrics:true ~tracing:false () in
-  let cluster = Cluster.make ~seed:7 ~n:4 ~params ~obs () in
-  let client = Cluster.add_client cluster () in
-  let _, completed =
-    Pump.closed_loop ~total:txs ~concurrency:16
-      ~submit:(fun ~seq ~on_complete ->
-        Client.submit client ~proc:"counter/add" ~args:(string_of_int seq)
-          ~on_complete:(fun _ -> on_complete ())
-          ())
-      ()
+  let entries, _wall, bytes, chunks, skipped =
+    catchup_run ~txs ~concurrency:16
   in
-  if
-    not
-      (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
-           !completed >= txs))
-  then fail "statesync workload did not complete";
-  Cluster.run cluster ~ms:2_000.0;
-  let r0 = Cluster.replica cluster 0 in
-  let target = Replica.last_committed r0 - params.Replica.checkpoint_interval in
-  let entries = Ledger.length (Replica.ledger r0) in
-  let joiner = Cluster.spawn_replica cluster ~id:4 in
-  Replica.join_snapshot joiner ~from:0;
-  if
-    not
-      (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
-           Replica.last_committed joiner >= target))
-  then fail "statesync joiner did not catch up";
-  let c name = Obs.counter_value obs name in
-  if c "statesync.installs" < 1 then fail "statesync installed no snapshot";
   let bench = "regress_statesync" in
   let series = Printf.sprintf "catchup txs=%d" txs in
   let exact metric v =
@@ -96,49 +58,28 @@ let statesync_rows () =
   in
   [
     exact "ledger_entries" entries;
-    exact "snapshot_bytes" (c "statesync.bytes");
-    exact "chunks" (c "statesync.chunks");
-    exact "entries_skipped" (c "statesync.entries_skipped");
+    exact "snapshot_bytes" bytes;
+    exact "chunks" chunks;
+    exact "entries_skipped" skipped;
   ]
 
-(* --- chaos: identity-intercept equivalence (mirrors
-   bench/chaos_overhead.ml at a smaller size) --------------------------- *)
+(* --- chaos: the @chaos-overhead identity-intercept equivalence, smaller  *)
 
 let chaos_rows () =
   let requests = 20 in
-  let run ~intercepted =
-    let cluster = Cluster.make ~seed:42 ~n:4 () in
-    if intercepted then
-      for id = 0 to 3 do
-        Network.set_intercept (Cluster.network cluster) id (fun ~dst msg ->
-            [ (dst, msg) ])
-      done;
-    let client = Cluster.add_client cluster () in
-    let completions = ref [] in
-    for i = 1 to requests do
-      let args = string_of_int i in
-      Client.submit client ~proc:"counter/add" ~args
-        ~on_complete:(fun oc -> completions := (args, oc.Client.oc_output) :: !completions)
-        ()
-    done;
-    if
-      not
-        (Cluster.run_until cluster (fun () ->
-             List.length !completions = requests))
-    then fail "chaos run stalled";
-    Cluster.run cluster ~ms:500.0;
-    (Sched.now (Cluster.sched cluster), List.rev !completions)
-  in
-  let vt_direct, out_direct = run ~intercepted:false in
-  let vt_wrapped, out_wrapped = run ~intercepted:true in
-  if vt_direct <> vt_wrapped || out_direct <> out_wrapped then
-    fail "identity intercept changed a fault-free run";
+  let direct = intercept_run ~requests ~intercepted:false in
+  let wrapped = intercept_run ~requests ~intercepted:true in
+  if
+    direct.virtual_ms <> wrapped.virtual_ms
+    || direct.completions <> wrapped.completions
+  then fail "identity intercept changed a fault-free run";
   let bench = "regress_chaos" in
   let series = "identity_intercept" in
   [
     Report.row ~bench ~series ~metric:"txs" ~gate:Report.Exact
       (float_of_int requests);
-    Report.row ~bench ~series ~metric:"virtual_ms" ~gate:Report.Exact vt_direct;
+    Report.row ~bench ~series ~metric:"virtual_ms" ~gate:Report.Exact
+      direct.virtual_ms;
   ]
 
 (* --- crypto: the batched verify stage, counts only (wall clock lives in
@@ -265,9 +206,12 @@ let files = (* (emitted file, what writes it) *)
 
 let emit ~dir =
   let path f = Filename.concat dir f in
-  write_bench_json
+  Report.write_rows
     ~file:(path "BENCH_regress_smallbank.json")
-    ~bench:"regress_smallbank" (smallbank_results ());
+    ~bench:"regress_smallbank"
+    (List.concat_map
+       (rows_of_result ~bench:"regress_smallbank")
+       (smallbank_results ()));
   Report.write_rows
     ~file:(path "BENCH_regress_statesync.json")
     ~bench:"regress_statesync" (statesync_rows ());

@@ -17,62 +17,12 @@ module Obs = Iaccf_obs.Obs
 module Store = Iaccf_storage.Store
 module Ledger = Iaccf_ledger.Ledger
 module Report = Iaccf_report.Report
-module Pump = Iaccf_load.Pump
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("statesync-bench: " ^ s); exit 1) fmt
 
-let params =
-  {
-    Replica.default_params with
-    checkpoint_interval = 10;
-    max_batch = 4;
-    snapshot_interval = 10;
-  }
-
-let drive cluster client n =
-  (* Closed loop, 32 in flight: open-loop submission of the whole load
-     floods the request queues and distorts the numbers. *)
-  let _, completed =
-    Pump.closed_loop ~total:n ~concurrency:32
-      ~submit:(fun ~seq ~on_complete ->
-        Client.submit client ~proc:"counter/add" ~args:(string_of_int seq)
-          ~on_complete:(fun _ -> on_complete ())
-          ())
-      ()
-  in
-  if not (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () -> !completed >= n))
-  then fail "workload of %d requests did not complete" n;
-  Cluster.run cluster ~ms:2_000.0
+let params = Harness.statesync_params
 
 (* --- 1. catch-up vs ledger length ------------------------------------ *)
-
-let catchup_run ~txs =
-  let obs = Obs.create ~metrics:true ~tracing:false () in
-  let cluster = Cluster.make ~seed:7 ~n:4 ~params ~obs () in
-  let client = Cluster.add_client cluster () in
-  drive cluster client txs;
-  let r0 = Cluster.replica cluster 0 in
-  (* A joiner outside the member set learns commits only from the ledger,
-     so the last pipeline of batches stays uncertified for it: catch-up is
-     complete once it holds the stable prefix. *)
-  let target = Replica.last_committed r0 - params.Replica.checkpoint_interval in
-  let entries = Ledger.length (Replica.ledger r0) in
-  let joiner = Cluster.spawn_replica cluster ~id:4 in
-  let t0 = Unix.gettimeofday () in
-  Replica.join_snapshot joiner ~from:0;
-  if
-    not
-      (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
-           Replica.last_committed joiner >= target))
-  then fail "joiner did not catch up to seqno %d" target;
-  let wall = Unix.gettimeofday () -. t0 in
-  let c name = Obs.counter_value obs name in
-  ( entries,
-    wall,
-    c "statesync.bytes",
-    c "statesync.chunks",
-    c "statesync.entries_skipped",
-    c "statesync.installs" )
 
 let bench_catchup () =
   Printf.printf "catch-up vs ledger length (n=4, C=%d, snapshot every %d)\n"
@@ -81,8 +31,9 @@ let bench_catchup () =
     "snap bytes" "chunks" "skipped";
   List.concat_map
     (fun txs ->
-      let entries, wall, bytes, chunks, skipped, installs = catchup_run ~txs in
-      if installs < 1 then fail "catch-up at %d txs installed no snapshot" txs;
+      let entries, wall, bytes, chunks, skipped =
+        Harness.catchup_run ~txs ~concurrency:32
+      in
       Printf.printf "%8d %10d %10.3f %12d %8d %10d\n%!" txs entries wall bytes
         chunks skipped;
       let bench = "statesync" in
@@ -148,7 +99,7 @@ let bench_cold_start () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cluster, _ = persisted ~dir ~snapshots:true in
   let client = Cluster.add_client cluster () in
-  drive cluster client txs;
+  Harness.drive_counter cluster client ~txs ~concurrency:32;
   let entries = Ledger.length (Replica.ledger (Cluster.replica cluster 0)) in
   Cluster.sync_storage cluster;
   Cluster.close_storage cluster;
@@ -182,5 +133,4 @@ let bench_cold_start () =
 
 let () =
   let rows = bench_catchup () @ bench_cold_start () in
-  Report.write_rows ~file:"BENCH_statesync.json" ~bench:"statesync" rows;
-  Printf.eprintf "wrote BENCH_statesync.json\n%!"
+  Report.write_rows ~file:"BENCH_statesync.json" ~bench:"statesync" rows

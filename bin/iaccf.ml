@@ -136,9 +136,8 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Write a protocol trace to $(docv): Chrome trace_event JSON \
-           (loadable in Perfetto / chrome://tracing), or JSONL if $(docv) \
-           ends in .jsonl.")
+          "Write a protocol trace to $(docv) as Chrome trace_event JSON \
+           (loadable in Perfetto / chrome://tracing).")
 
 (* An instrumented registry when any observability output was requested:
    metrics machinery is always worth having once we pay for a registry at
@@ -745,10 +744,17 @@ let status_cmd =
           (Status.to_string
              (Replica.tx_status r ~view:txid.Status.view ~seqno:txid.Status.seqno)))
       (Cluster.replicas cluster);
-    Printf.printf "{\"transaction_id\": \"%s\", \"status\": \"%s\"}\n"
-      (Status.txid_to_string txid)
-      (Status.to_string
-         (Replica.tx_status r0 ~view:txid.Status.view ~seqno:txid.Status.seqno))
+    let status =
+      Replica.tx_status r0 ~view:txid.Status.view ~seqno:txid.Status.seqno
+    in
+    print_endline
+      Iaccf_util.Json.(
+        to_compact
+          (Obj
+             [
+               ("transaction_id", Str (Status.txid_to_string txid));
+               ("status", Str (Status.to_string status));
+             ]))
   in
   Cmd.v
     (Cmd.info "status"

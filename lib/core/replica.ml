@@ -2760,11 +2760,10 @@ and tick_sync_session t =
         true
       end
 
-(* The periodic tick trace replaces the old IACCF_DEBUG_TICK stderr dump:
-   the env var still opts a run in, but the record now lands in the trace
-   stream with everything else instead of interleaving with test output. *)
-and debug_tick_trace t =
-  if Obs.tracing_enabled t.obs && Sys.getenv_opt "IACCF_DEBUG_TICK" <> None then
+(* One progress-tick record per active replica per timer period, in the
+   trace stream with everything else. *)
+and tick_trace t =
+  if Obs.tracing_enabled t.obs then
     Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.tick"
       ~args:
         [
@@ -2793,7 +2792,7 @@ and progress_tick t =
     arm_progress_timer t
   end
   else if t.running && t.activated then begin
-    debug_tick_trace t;
+    tick_trace t;
     if tick_sync_session t then arm_progress_timer t
     else progress_tick_active t
   end

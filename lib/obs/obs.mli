@@ -12,8 +12,8 @@
       from bucket boundaries.
     - {b Trace events} — on when created with [~tracing:true]. Events are
       begin/end/instant records stamped with the registry's clock (the
-      simulator's virtual clock, not wall time), exportable as JSONL or as
-      Chrome [trace_event] JSON loadable in chrome://tracing / Perfetto.
+      simulator's virtual clock, not wall time), exportable as Chrome
+      [trace_event] JSON loadable in chrome://tracing / Perfetto.
 
     A passive registry ([Obs.passive ()]) counts but records nothing else:
     every histogram/trace entry point returns after one boolean test, so
@@ -213,13 +213,9 @@ val parse_snapshot : string -> (string * string) list
 (** Parse {!snapshot_string} output back into pairs.
     @raise Failure on a malformed line. *)
 
-val write_trace_jsonl : t -> out_channel -> unit
-(** One JSON object per event per line. *)
-
 val write_trace_chrome : t -> out_channel -> unit
 (** Chrome [trace_event] JSON (async b/e spans + instants + process-name
     metadata), loadable in chrome://tracing and Perfetto. *)
 
 val write_trace_file : t -> string -> unit
-(** Write the trace to a file: JSONL if the name ends in [.jsonl],
-    Chrome trace_event JSON otherwise. *)
+(** Write the trace to a file as {!write_trace_chrome} JSON. *)

@@ -4,13 +4,10 @@
    per-metric tolerance — the regression gate behind `iaccf bench-report`
    and the @bench-regress alias.
 
-   Two file schemas are understood:
-
-   - the "results" schema PR 5's harness writes (one object per
-     [run_result]: txs, latencies, signature counts, phase percentiles),
-     classified into gates by field name; and
-   - the explicit "rows" schema written by {!write_rows}, where every row
-     carries its own gate tag.
+   One file schema, "rows/1", written by {!write_rows}: every row
+   carries its own series, metric, value and gate tag. The harness's
+   earlier "results" schema (one object per run, gated by field name) is
+   retired; the loader rejects it by name.
 
    Gate semantics:
    - [Exact]  — counts and sizes that are fully seed-deterministic
@@ -51,50 +48,37 @@ let row ~bench ~series ~metric ~gate value =
 let key r = (r.r_bench, r.r_series, r.r_metric)
 
 (* ------------------------------------------------------------------ *)
-(* Writing the explicit rows schema                                    *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* Writing                                                             *)
 
 let write_rows ~file ~bench ?(meta = []) rows =
   let oc = open_out file in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   output_string oc "{\n";
-  Printf.fprintf oc "  \"bench\": %s,\n" (json_str bench);
+  Printf.fprintf oc "  \"bench\": %s,\n" (Json.quote bench);
   Printf.fprintf oc "  \"schema\": \"rows/1\",\n";
   List.iter
-    (fun (k, v) -> Printf.fprintf oc "  %s: %s,\n" (json_str k) (json_str v))
+    (fun (k, v) -> Printf.fprintf oc "  %s: %s,\n" (Json.quote k) (Json.quote v))
     meta;
   output_string oc "  \"rows\": [\n";
   let n = List.length rows in
   List.iteri
     (fun i r ->
-      Printf.fprintf oc
-        "    {\"series\": %s, \"metric\": %s, \"value\": %s, \"gate\": %s}%s\n"
-        (json_str r.r_series) (json_str r.r_metric) (json_float r.r_value)
-        (json_str (gate_to_string r.r_gate))
+      Printf.fprintf oc "    %s%s\n"
+        (Json.to_compact
+           (Json.Obj
+              [
+                ("series", Json.Str r.r_series);
+                ("metric", Json.Str r.r_metric);
+                ("value", Json.Num r.r_value);
+                ("gate", Json.Str (gate_to_string r.r_gate));
+              ]))
         (if i = n - 1 then "" else ","))
     rows;
-  output_string oc "  ]\n}\n"
+  output_string oc "  ]\n}\n";
+  Printf.eprintf "wrote %s\n%!" file
 
 (* ------------------------------------------------------------------ *)
-(* Loading either schema                                               *)
+(* Loading                                                             *)
 
 exception Bad_file of string
 
@@ -118,7 +102,13 @@ let list_of = function
   | Json.Arr xs -> xs
   | j -> failf "expected an array, got %s" (Json.to_compact j)
 
-let rows_of_rows_schema ~bench j =
+let rows_of_json j =
+  let bench = str_of (member "bench" j) in
+  (match (Json.member "schema" j, Json.member "results" j) with
+  | Some (Json.Str "rows/1"), _ -> ()
+  | None, Some _ ->
+      failf "the legacy \"results\" schema is retired; only \"rows/1\" loads"
+  | _ -> failf "expected \"schema\": \"rows/1\"");
   List.map
     (fun r ->
       let gate_s = str_of (member "gate" r) in
@@ -133,45 +123,6 @@ let rows_of_rows_schema ~bench j =
         ~gate
         (num_of (member "value" r)))
     (list_of (member "rows" j))
-
-(* The legacy results schema: one object per run, fields classified into
-   gates by name. *)
-let rows_of_results_schema ~bench j =
-  List.concat_map
-    (fun r ->
-      let series = str_of (member "label" r) in
-      let field metric gate =
-        match Json.member metric r with
-        | Some v -> [ row ~bench ~series ~metric ~gate (num_of v) ]
-        | None -> []
-      in
-      field "txs" Exact @ field "sigs_made" Exact @ field "sigs_verified" Exact
-      @ field "avg_latency_ms" Ms @ field "p50_latency_ms" Ms
-      @ field "p99_latency_ms" Ms @ field "wall_s" Info
-      @ field "throughput_tx_s" Info
-      @ (match Json.member "phases" r with
-        | Some (Json.Arr phases) ->
-            List.concat_map
-              (fun p ->
-                let name = str_of (member "name" p) in
-                List.concat_map
-                  (fun pct ->
-                    match Json.member pct p with
-                    | Some v ->
-                        [ row ~bench ~series ~metric:(name ^ "." ^ pct) ~gate:Ms
-                            (num_of v) ]
-                    | None -> [])
-                  [ "p50_ms"; "p90_ms"; "p99_ms" ])
-              phases
-        | _ -> []))
-    (list_of (member "results" j))
-
-let rows_of_json j =
-  let bench = str_of (member "bench" j) in
-  match (Json.member "rows" j, Json.member "results" j) with
-  | Some _, _ -> rows_of_rows_schema ~bench j
-  | None, Some _ -> rows_of_results_schema ~bench j
-  | None, None -> failf "neither \"rows\" nor \"results\" present"
 
 let load_file file =
   match Json.parse_file file with

@@ -1,10 +1,10 @@
-(* Minimal JSON parser and accessors. The toolchain ships no JSON
-   library, and two consumers now need to *read* JSON rather than just
-   emit it: [iaccf bench-report] aggregates the BENCH_*.json series the
-   bench harness writes, and the trace tests schema-check the Chrome
-   trace export. Recursive descent, strict enough for both: rejects
-   trailing garbage, unterminated literals, and malformed escapes;
-   numbers are parsed as OCaml floats (every value the emitters write). *)
+(* Minimal JSON parser, accessors and the program's one JSON encoder.
+   The toolchain ships no JSON library. Readers: [iaccf bench-report]
+   and @bench-regress load the BENCH_*.json rows files, and the trace
+   tests schema-check the Chrome trace export. Recursive descent, strict
+   enough for both: rejects trailing garbage, unterminated literals, and
+   malformed escapes; numbers are parsed as OCaml floats. Writers: every
+   JSON string the program emits goes through {!quote}. *)
 
 type t =
   | Null
@@ -254,31 +254,39 @@ let to_string = function Str s -> Some s | _ -> None
 let to_number = function Num f -> Some f | _ -> None
 let to_obj = function Obj kvs -> Some kvs | _ -> None
 
+(* The one JSON string encoder: quotes, backslashes and control
+   characters are escaped; every other byte, including bytes >= 0x80,
+   passes through unchanged, so [parse] returns exactly the input. *)
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
 let rec to_compact = function
   | Null -> "null"
   | Bool b -> if b then "true" else "false"
+  | Num f when not (Float.is_finite f) -> "null" (* JSON has no nan/inf *)
   | Num f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.0f" f
       else Printf.sprintf "%g" f
-  | Str s ->
-      let buf = Buffer.create (String.length s + 2) in
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"';
-      Buffer.contents buf
+  | Str s -> quote s
   | Arr xs -> "[" ^ String.concat "," (List.map to_compact xs) ^ "]"
   | Obj kvs ->
       "{"
       ^ String.concat ","
-          (List.map (fun (k, v) -> to_compact (Str k) ^ ":" ^ to_compact v) kvs)
+          (List.map (fun (k, v) -> quote k ^ ":" ^ to_compact v) kvs)
       ^ "}"

@@ -1,8 +1,8 @@
-(* The bench-report layer: both BENCH_*.json schemas load into the same
-   gated rows, the writer round-trips through the loader, and the
-   comparison gate catches every kind of regression (exact drift, ms over
-   tolerance, vanished metrics) while ignoring what it must (wall-clock
-   noise, new metrics). *)
+(* The bench-report layer: the writer round-trips through the loader,
+   only the rows/1 schema loads (every committed BENCH_*.json included),
+   and the comparison gate catches every kind of regression (exact drift,
+   ms over tolerance, vanished metrics) while ignoring what it must
+   (wall-clock noise, new metrics). *)
 
 module Report = Iaccf_report.Report
 
@@ -22,6 +22,8 @@ let test_rows_roundtrip () =
   let rows =
     [
       row ~bench ~series:"a" ~metric:"txs" ~gate:Report.Exact 60.0;
+      (* Counts of 1e6 and more must be written in full, not as %g. *)
+      row ~bench ~series:"a" ~metric:"bytes" ~gate:Report.Exact 12345678.0;
       row ~bench ~series:"a" ~metric:"p50_ms" ~gate:Report.Ms 1.25;
       row ~bench ~series:"b \"quoted\"" ~metric:"wall_s" ~gate:Report.Info 0.5;
     ]
@@ -40,61 +42,67 @@ let test_rows_roundtrip () =
           check Alcotest.bool "gate" true (a.Report.r_gate = b.Report.r_gate))
         rows loaded
 
-let test_results_schema () =
-  (* The legacy harness schema: fields are classified into gates by name. *)
-  let json =
-    {|{
-  "bench": "legacy",
-  "results": [
-    {"label":"full","txs":60,"wall_s":0.14,"throughput_tx_s":420.2,
-     "avg_latency_ms":1.21,"p50_latency_ms":1.21,"p99_latency_ms":1.22,
-     "sigs_made":16,"sigs_verified":288,
-     "phases":[{"name":"lat.request_e2e_ms","p50_ms":1.21,"p90_ms":1.21,"p99_ms":1.22}]}
-  ]
-}|}
-  in
-  with_temp_file @@ fun file ->
+let write_file file contents =
   let oc = open_out file in
-  output_string oc json;
-  close_out oc;
+  output_string oc contents;
+  close_out oc
+
+let test_results_schema_rejected () =
+  (* The retired harness schema: one object per run, no "schema" tag. *)
+  with_temp_file @@ fun file ->
+  write_file file
+    {|{"bench": "legacy", "results": [{"label":"full","txs":60,"wall_s":0.14}]}|};
   match Report.load_file file with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok rows ->
-      let find metric =
-        List.find (fun (r : Report.row) -> r.Report.r_metric = metric) rows
+  | Ok _ -> Alcotest.fail "loaded a results-schema file"
+  | Error e ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length e && (String.sub e i n = sub || go (i + 1))
+        in
+        go 0
       in
-      check Alcotest.int "11 metric rows" 11 (List.length rows);
-      check Alcotest.bool "txs gated exact" true
-        ((find "txs").Report.r_gate = Report.Exact);
-      check Alcotest.bool "latency gated ms" true
-        ((find "p99_latency_ms").Report.r_gate = Report.Ms);
-      check Alcotest.bool "wall informational" true
-        ((find "wall_s").Report.r_gate = Report.Info);
-      check Alcotest.bool "phases flattened to ms rows" true
-        ((find "lat.request_e2e_ms.p90_ms").Report.r_gate = Report.Ms);
-      check Alcotest.string "series from label" "full"
-        (find "txs").Report.r_series
+      check Alcotest.bool "error names the retired schema" true
+        (mentions "\"results\" schema")
 
 let test_check_file_rejects_garbage () =
   with_temp_file @@ fun file ->
-  let oc = open_out file in
-  output_string oc "{\"bench\": \"x\", \"rows\": [";
-  close_out oc;
+  write_file file "{\"bench\": \"x\", \"schema\": \"rows/1\", \"rows\": [";
   (match Report.check_file file with
   | Ok _ -> Alcotest.fail "accepted truncated JSON"
   | Error _ -> ());
-  let oc = open_out file in
-  output_string oc "{\"bench\": \"x\", \"rows\": []}";
-  close_out oc;
+  write_file file "{\"bench\": \"x\", \"schema\": \"rows/1\", \"rows\": []}";
   (match Report.check_file file with
   | Ok _ -> Alcotest.fail "accepted an empty rows file"
   | Error _ -> ());
-  let oc = open_out file in
-  output_string oc "{\"bench\": \"x\"}";
-  close_out oc;
+  write_file file "{\"bench\": \"x\", \"rows\": []}";
+  (match Report.check_file file with
+  | Ok _ -> Alcotest.fail "accepted a file without a schema tag"
+  | Error _ -> ());
+  write_file file "{\"bench\": \"x\"}";
   match Report.check_file file with
-  | Ok _ -> Alcotest.fail "accepted a file with neither schema"
+  | Ok _ -> Alcotest.fail "accepted a file with no rows"
   | Error _ -> ()
+
+(* Every BENCH_*.json committed at the repo root and in bench/baselines/
+   (the test's dune deps copy them next to the build tree) must load. *)
+let test_committed_files_load () =
+  List.iter
+    (fun dir ->
+      let files =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f ->
+               String.starts_with ~prefix:"BENCH_" f
+               && Filename.check_suffix f ".json")
+      in
+      if files = [] then Alcotest.failf "no BENCH_*.json under %s" dir;
+      List.iter
+        (fun f ->
+          match Report.check_file (Filename.concat dir f) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e)
+        files)
+    [ ".."; "../bench/baselines" ]
 
 (* --------------------------------------------------------------- *)
 (* The gate                                                         *)
@@ -209,10 +217,12 @@ let () =
         [
           Alcotest.test_case "rows schema round-trips" `Quick
             test_rows_roundtrip;
-          Alcotest.test_case "legacy results schema classifies" `Quick
-            test_results_schema;
+          Alcotest.test_case "legacy results schema rejected" `Quick
+            test_results_schema_rejected;
           Alcotest.test_case "schema check rejects garbage" `Quick
             test_check_file_rejects_garbage;
+          Alcotest.test_case "committed bench files load" `Quick
+            test_committed_files_load;
         ] );
       ( "gate",
         [

@@ -193,6 +193,26 @@ let prop_bitmap_roundtrip =
       let sorted = List.sort_uniq compare l in
       Bitmap.to_list (Bitmap.of_list l) = sorted)
 
+(* --- Json --- *)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      check Alcotest.string "non-finite is null" "null"
+        (Json.to_compact (Json.Num f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check Alcotest.string "integers in full" "12345678"
+    (Json.to_compact (Json.Num 12345678.0))
+
+let prop_json_string_roundtrip =
+  let tricky =
+    QCheck.Gen.oneofl
+      [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\x00'; '\x1f'; '\x7f'; '\x80'; '\xff' ]
+  in
+  QCheck.Test.make ~name:"string roundtrip" ~count:500
+    (QCheck.string_gen (QCheck.Gen.oneof [ tricky; QCheck.Gen.char ]))
+    (fun s -> Json.parse (Json.to_compact (Json.Str s)) = Ok (Json.Str s))
+
 let () =
   Alcotest.run "iaccf_util"
     [
@@ -237,5 +257,10 @@ let () =
           Alcotest.test_case "encode" `Quick test_bitmap_encode;
           Alcotest.test_case "range" `Quick test_bitmap_range;
           qtest prop_bitmap_roundtrip;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
+          qtest prop_json_string_roundtrip;
         ] );
     ]
