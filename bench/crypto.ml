@@ -17,8 +17,9 @@
    tables in front of the pool.
 
    Per-layer rows (series "layers", Info) time the costs underneath:
-   field mul and sqr, SHA-256 of 64 bytes, sign, and verify with and
-   without a fixed-base table, each the median of 7 timed loops.
+   field mul and sqr, SHA-256 of 64 bytes, SHA-256 throughput over a
+   1 MiB buffer, sign, and verify with and without a fixed-base table,
+   each the median of 7 timed loops.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
    deterministic counts gate Exact, wall-clock throughputs are Info. Not
@@ -228,6 +229,12 @@ let layer_rows () =
   let fe_sqr = ns_per_op ~iters:100_000 (fun _ -> Fe.sqr s a a) in
   let block = String.make 64 'x' in
   let sha = ns_per_op ~iters:20_000 (fun _ -> ignore (Sha256.digest block)) in
+  let mib = String.make (1 lsl 20) 'x' in
+  let sha_mbps =
+    float_of_int (String.length mib)
+    /. ns_per_op ~iters:4 (fun _ -> ignore (Sha256.digest mib))
+    *. 1e3
+  in
   let sk, pk = Schnorr.keypair_of_seed "layers" in
   let digests = Array.init 64 (fun i -> Sha256.digest (string_of_int i)) in
   let sigs = Array.map (Schnorr.sign sk) digests in
@@ -246,8 +253,8 @@ let layer_rows () =
   Schnorr.precompute pk;
   let tabled = verify () in
   Printf.printf "crypto-bench layers (median of 7 trials)\n";
-  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns   sha256/64B %8.1f ns\n" fe_mul
-    fe_sqr sha;
+  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns   sha256/64B %8.1f ns   sha256 %6.1f MB/s\n"
+    fe_mul fe_sqr sha sha_mbps;
   Printf.printf "  sign %8.1f us   verify untabled %8.1f us   tabled %8.1f us\n%!"
     sign untabled tabled;
   let info metric v = Report.row ~bench:"crypto" ~series:"layers" ~metric ~gate:Report.Info v in
@@ -255,6 +262,7 @@ let layer_rows () =
     info "fe_mul_ns" fe_mul;
     info "fe_sqr_ns" fe_sqr;
     info "sha256_64B_ns" sha;
+    info "sha256_MBps" sha_mbps;
     info "sign_us" sign;
     info "verify_untabled_us" untabled;
     info "verify_tabled_us" tabled;

@@ -1439,8 +1439,9 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           (* A re-proposed batch must keep its original entries: if fresh
              execution diverges from the pre-prepare's g_root only in the
              assigned indices, adopt the archived entries for this root. *)
-          let txs =
-            if D.equal (Batch.g_root txs) pp.Message.g_root then txs
+          let g_root = Batch.g_root txs in
+          let txs, g_root =
+            if D.equal g_root pp.Message.g_root then (txs, g_root)
             else begin
               match
                 Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
@@ -1454,11 +1455,10 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                             && D.equal a.Batch.result.Batch.write_set_hash
                                  b.Batch.result.Batch.write_set_hash)
                           original txs ->
-                  original
-              | _ -> txs
+                  (original, Batch.g_root original)
+              | _ -> (txs, g_root)
             end
           in
-          let g_root = Batch.g_root txs in
           let m_root = m_root_now t in
           let min_index_ok =
             List.for_all
@@ -1614,8 +1614,7 @@ and arm_batch_timer t =
    replies were lost: resend this replica's reply (and the replyx, from
    whichever replica answers first — the designated one may be cut off)
    so sustained message loss cannot strand a completed request forever. *)
-and resend_executed t (req : Request.t) =
-  let h = Request.hash req in
+and resend_executed t (req : Request.t) h =
   let exception Found in
   try
     Hashtbl.iter
@@ -1664,8 +1663,9 @@ and resend_executed t (req : Request.t) =
 
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
-    let h = D.to_raw (Request.hash req) in
-    if Hashtbl.mem t.executed_requests h then resend_executed t req
+    let hd = Request.hash req in
+    let h = D.to_raw hd in
+    if Hashtbl.mem t.executed_requests h then resend_executed t req hd
     else if
       (* Admission control (primary only): shed fresh requests while the
          pending queue sits at or above the watermark — before signature
@@ -1683,13 +1683,13 @@ and on_request t (req : Request.t) =
           ~args:[ ("proc", req.Request.proc) ]
           ();
       send_to_client t req.Request.client_pk
-        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = Request.hash req })
+        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = hd })
     end
     else if not (Hashtbl.mem t.requests h) then begin
       let admit ok =
         if ok && not (Hashtbl.mem t.requests h) then begin
           Hashtbl.replace t.requests h req;
-          t.request_order <- Request.hash req :: t.request_order;
+          t.request_order <- hd :: t.request_order;
           Obs.incr t.ctr.c_requests_received;
           if is_primary t then Obs.incr t.ctr.c_load_admitted;
           update_queue_gauge t;
@@ -1790,11 +1790,12 @@ and rollback_to t target =
             (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs);
           List.iter
             (fun (req : Request.t) ->
-              let h = D.to_raw (Request.hash req) in
+              let hd = Request.hash req in
+              let h = D.to_raw hd in
               Hashtbl.remove t.executed_requests h;
               if not (Hashtbl.mem t.requests h) then begin
                 Hashtbl.replace t.requests h req;
-                t.request_order <- Request.hash req :: t.request_order;
+                t.request_order <- hd :: t.request_order;
                 (* Back in the pending pool: it will be proposed (and
                    counted committed) again, so count the re-admission to
                    keep requests_committed <= requests_received. *)
@@ -2708,11 +2709,12 @@ and on_batch_package t (bp : Wire.batch_package) =
        package applied directly if we are the one behind) can then proceed. *)
     List.iter
       (fun (req : Request.t) ->
-        let h = D.to_raw (Request.hash req) in
+        let hd = Request.hash req in
+        let h = D.to_raw hd in
         if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
         then begin
           Hashtbl.replace t.requests h req;
-          t.request_order <- Request.hash req :: t.request_order;
+          t.request_order <- hd :: t.request_order;
           Obs.incr t.ctr.c_requests_received
         end)
       bp.Wire.bp_requests;

@@ -1,5 +1,5 @@
 (* SHA-256 over plain OCaml ints: words are kept in the low 32 bits of a
-   63-bit int, masked after every arithmetic step. This avoids boxed Int32
+   63-bit int and masked where they are stored. This avoids boxed Int32
    operations in the compression loop. *)
 
 let mask = 0xFFFFFFFF
@@ -40,25 +40,30 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* [x] twice over: bits [n, n + 32) of [dup x] are [x] rotated right by
+   [n], for every [n <= 30] (bit 63 falls off the 63-bit int unused), so a
+   rotation is one shift. The junk left above bit 32 never reaches a
+   stored word: every store is masked, and the low 32 bits of sums and
+   xors depend only on the low 32 bits of their operands (overflow
+   included). *)
+let dup x = x lor (x lsl 32)
 
-let compress ctx =
-  let w = ctx.w and block = ctx.block in
+(* Compress the 64-byte block of [s] at [off]. The schedule [w] and the
+   round constants [k] have 64 entries each, so the loops index them
+   unchecked. *)
+let compress ctx s off =
+  let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get block ((4 * i) + 3))
+    Array.unsafe_set w i
+      (Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let x15 = dup w15 and x2 = dup w2 in
+    let s0 = (x15 lsr 7) lxor (x15 lsr 18) lxor (w15 lsr 3) in
+    let s1 = (x2 lsr 17) lxor (x2 lsr 19) lxor (w2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0)
@@ -70,12 +75,13 @@ let compress ctx =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g land mask) in
-    let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let xe = dup !e and xa = dup !a in
+    let s1 = (xe lsr 6) lxor (xe lsr 11) lxor (xe lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = (xa lsr 2) lxor (xa lsr 13) lxor (xa lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
+    let temp2 = s0 + maj in
     hh := !g;
     g := !f;
     f := !e;
@@ -94,44 +100,49 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+(* The buffered block, viewed as a string for [compress]; it is not
+   mutated while the view is in use. *)
+let compress_buffered ctx = compress ctx (Bytes.unsafe_to_string ctx.block) 0
+
 let feed ctx s =
   let n = String.length s in
   ctx.total_len <- ctx.total_len + n;
   let pos = ref 0 in
-  while !pos < n do
-    let take = min (64 - ctx.block_len) (n - !pos) in
-    Bytes.blit_string s !pos ctx.block ctx.block_len take;
+  if ctx.block_len > 0 then begin
+    let take = min (64 - ctx.block_len) n in
+    Bytes.blit_string s 0 ctx.block ctx.block_len take;
     ctx.block_len <- ctx.block_len + take;
-    pos := !pos + take;
+    pos := take;
     if ctx.block_len = 64 then begin
-      compress ctx;
+      compress_buffered ctx;
       ctx.block_len <- 0
     end
-  done
+  end;
+  (* Whole blocks straight from the input; only a tail is buffered. *)
+  while n - !pos >= 64 do
+    compress ctx s !pos;
+    pos := !pos + 64
+  done;
+  if !pos < n then begin
+    Bytes.blit_string s !pos ctx.block ctx.block_len (n - !pos);
+    ctx.block_len <- ctx.block_len + (n - !pos)
+  end
 
 let finalize ctx =
-  let total_bits = ctx.total_len * 8 in
   (* Append 0x80, pad with zeros to 56 mod 64, then 64-bit length. *)
   Bytes.set ctx.block ctx.block_len '\x80';
   ctx.block_len <- ctx.block_len + 1;
   if ctx.block_len > 56 then begin
     Bytes.fill ctx.block ctx.block_len (64 - ctx.block_len) '\x00';
-    compress ctx;
+    compress_buffered ctx;
     ctx.block_len <- 0
   end;
   Bytes.fill ctx.block ctx.block_len (56 - ctx.block_len) '\x00';
-  for i = 0 to 7 do
-    Bytes.set ctx.block (56 + i)
-      (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  compress ctx;
+  Bytes.set_int64_be ctx.block 56 (Int64.of_int (ctx.total_len * 8));
+  compress_buffered ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let x = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((x lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((x lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((x lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (x land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

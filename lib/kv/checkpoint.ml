@@ -6,16 +6,10 @@ type t = { seqno : int; state : Hamt.t }
 let make ~seqno state = { seqno; state }
 
 let digest t =
-  let ctx = Iaccf_crypto.Sha256.init () in
-  Iaccf_crypto.Sha256.feed ctx (Codec.encode (fun w -> Codec.W.u64 w t.seqno));
-  Hamt.fold_sorted
-    (fun k v () ->
-      Iaccf_crypto.Sha256.feed ctx
-        (Codec.encode (fun w ->
-             Codec.W.bytes w k;
-             Codec.W.bytes w v)))
-    t.state ();
-  D.of_raw (Iaccf_crypto.Sha256.finalize ctx)
+  D.of_string
+    (Codec.encode (fun w ->
+         Codec.W.u64 w t.seqno;
+         Codec.W.raw w (D.to_raw (Hamt.digest t.state))))
 
 let serialize t =
   Codec.encode (fun w ->

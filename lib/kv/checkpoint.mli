@@ -13,7 +13,10 @@ type t = {
 val make : seqno:int -> Hamt.t -> t
 
 val digest : t -> Iaccf_crypto.Digest32.t
-(** Canonical digest: the sorted-fold digest of [state] bound to [seqno]. *)
+(** [d_C = H(u64 seqno ‖ root)], where [root] is the Merkle root
+    {!Hamt.digest} of [state]. Only trie nodes not digested before are
+    hashed, so a checkpoint costs what changed since the previous one, not
+    the size of the state. *)
 
 val serialize : t -> string
 val deserialize : string -> t

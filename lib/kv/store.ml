@@ -58,21 +58,27 @@ let normalize_writes writes =
   let entries = Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl [] in
   List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) entries
 
+(* The digest of sorted (k, 1 ‖ L(k,v) | 0) entries, given each written
+   key's leaf digest, or [None] for a tombstone. *)
+let hash_entries entries =
+  D.of_string
+    (Codec.encode (fun w ->
+         Codec.W.list w
+           (fun (k, l) ->
+             Codec.W.bytes w k;
+             match l with
+             | Some l ->
+                 Codec.W.u8 w 1;
+                 Codec.W.raw w (D.to_raw l)
+             | None -> Codec.W.u8 w 0)
+           entries))
+
 let write_set_hash writes =
-  let entries = normalize_writes writes in
-  let payload =
-    Codec.encode (fun w ->
-        Codec.W.list w
-          (fun (k, wr) ->
-            Codec.W.bytes w k;
-            match wr with
-            | Put v ->
-                Codec.W.u8 w 1;
-                Codec.W.bytes w v
-            | Delete -> Codec.W.u8 w 0)
-          entries)
-  in
-  D.of_string payload
+  hash_entries
+    (List.map
+       (fun (k, w) ->
+         (k, match w with Put v -> Some (Hamt.leaf_digest k v) | Delete -> None))
+       (normalize_writes writes))
 
 let commit_with_writes tx =
   check_live tx;
@@ -83,7 +89,15 @@ let commit_with_writes tx =
   store.current <- tx.working;
   store.version <- store.version + 1;
   let writes = normalize_writes tx.writes in
-  (write_set_hash writes, writes)
+  (* Each written value is hashed once, into its committed leaf's digest;
+     a later checkpoint digest reuses it. *)
+  let leaves =
+    List.map
+      (fun (k, w) ->
+        (k, match w with Put _ -> Hamt.binding_digest k tx.working | Delete -> None))
+      writes
+  in
+  (hash_entries leaves, writes)
 
 let commit tx = fst (commit_with_writes tx)
 
@@ -119,13 +133,4 @@ let prune_rollback_log t ~keep =
   in
   t.log <- take keep t.log
 
-let state_digest t =
-  let ctx = Iaccf_crypto.Sha256.init () in
-  Hamt.fold_sorted
-    (fun k v () ->
-      Iaccf_crypto.Sha256.feed ctx
-        (Codec.encode (fun w ->
-             Codec.W.bytes w k;
-             Codec.W.bytes w v)))
-    t.current ();
-  D.of_raw (Iaccf_crypto.Sha256.finalize ctx)
+let state_digest t = Hamt.digest t.current

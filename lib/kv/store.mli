@@ -40,8 +40,11 @@ val put : tx -> string -> string -> unit
 val delete : tx -> string -> unit
 
 val commit : tx -> Iaccf_crypto.Digest32.t
-(** Commit the transaction; the result is the write-set hash: the digest of
-    the sorted (key, value-or-tombstone) pairs written. *)
+(** Commit the transaction; the result is the write-set hash
+    [H(sorted (k, 1 ‖ L(k,v) | 0))]: per key written, its leaf digest
+    [L(k,v)] ({!Hamt.leaf_digest}) or a tombstone. [L] is read from the
+    committed leaf's memo, so each written value is hashed once, here, and
+    a later {!state_digest} does not hash it again. *)
 
 val commit_with_writes : tx -> Iaccf_crypto.Digest32.t * (string * write) list
 (** Like {!commit}, additionally returning the normalized write set (one
@@ -55,7 +58,7 @@ val normalize_writes : (string * write) list -> (string * write) list
 
 val write_set_hash : (string * write) list -> Iaccf_crypto.Digest32.t
 (** The digest {!commit} returns, computed from an explicit write list
-    (normalized first). *)
+    (normalized first), hashing each written value to [L(k,v)]. *)
 
 val abort : tx -> unit
 
@@ -72,5 +75,7 @@ val prune_rollback_log : t -> keep:int -> unit
 (** Drop roll-back ability for all but the last [keep] versions. *)
 
 val state_digest : t -> Iaccf_crypto.Digest32.t
-(** Canonical digest of the full committed state (sorted fold), used for
-    checkpoints [d_C]. *)
+(** Merkle root of the committed state ({!Hamt.digest}): equal states give
+    equal digests however they were reached, and only nodes written since
+    the last digest are hashed. {!Checkpoint.digest} binds it to a
+    sequence number as [d_C]. *)

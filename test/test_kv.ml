@@ -33,12 +33,12 @@ let test_hamt_persistence () =
   check Alcotest.(option string) "old version intact" (Some "old") (Hamt.find "k" m1);
   check Alcotest.(option string) "new version" (Some "new") (Hamt.find "k" m2)
 
-let test_hamt_sorted_fold () =
-  let m = Hamt.of_list [ ("c", "3"); ("a", "1"); ("b", "2") ] in
+let test_hamt_sorted_list () =
+  let m = Hamt.of_list [ ("c", "3"); ("a", "1"); ("b", "2"); ("ab", "4"); ("", "0") ] in
   check
     Alcotest.(list (pair string string))
-    "sorted"
-    [ ("a", "1"); ("b", "2"); ("c", "3") ]
+    "ascending key order"
+    [ ("", "0"); ("a", "1"); ("ab", "4"); ("b", "2"); ("c", "3") ]
     (Hamt.to_sorted_list m)
 
 let test_hamt_many_keys () =
@@ -111,6 +111,89 @@ let prop_hamt_find_matches_map =
           let k = Printf.sprintf "k%d" i in
           Hamt.find k h = SMap.find_opt k m)
         (List.init 41 Fun.id))
+
+(* The trie's shape, and so its digest, depends only on its bindings:
+   an incrementally built trie must digest like one built afresh from the
+   same bindings in another order (what a replica installing the state by
+   state transfer would build). *)
+let prop_hamt_digest_history_independent =
+  QCheck.Test.make ~name:"digest independent of history" ~count:1000 arb_ops
+    (fun ops ->
+      let t = apply_ops_hamt ops in
+      D.equal (Hamt.digest t)
+        (Hamt.digest (Hamt.of_list (List.rev (Hamt.to_sorted_list t)))))
+
+(* A degenerate hash, keyed by the text before ':' in the key, so tests
+   choose full-hash collisions and how deep two hashes first part. *)
+module Hc = Hamt.With_hash (struct
+  let hash k = int_of_string (List.hd (String.split_on_char ':' k))
+end)
+
+let test_hamt_collisions () =
+  let hi = string_of_int (1 lsl 55) in
+  (* a1/a2 collide on hash 0; b shares all but the last 5 bits with them;
+     c parts from them at the root. *)
+  let a1 = "0:a1" and a2 = "0:a2" and b = hi ^ ":b" and c = "1:c" in
+  let canonical t = Hc.digest (Hc.of_list (List.rev (Hc.to_sorted_list t))) in
+  let same_as_fresh msg t = check digest_testable msg (canonical t) (Hc.digest t) in
+  let only_leaf msg k v t = check digest_testable msg (Hamt.leaf_digest k v) (Hc.digest t) in
+  (* A leaf meets a colliding key: a collision node. *)
+  let t = Hc.(empty |> add a1 "1" |> add a2 "2") in
+  check Alcotest.int "collision cardinal" 2 (Hc.cardinal t);
+  check Alcotest.(option string) "find a1" (Some "1") (Hc.find a1 t);
+  check Alcotest.(option string) "find a2" (Some "2") (Hc.find a2 t);
+  check (Alcotest.option digest_testable) "collision binding digest"
+    (Some (Hamt.leaf_digest a2 "2")) (Hc.binding_digest a2 t);
+  same_as_fresh "collision node" t;
+  (* The collision node meets a key with a different hash: it is split
+     below a chain of branches, like two leaves. *)
+  let t = Hc.add b "3" t in
+  check Alcotest.int "split cardinal" 3 (Hc.cardinal t);
+  List.iter
+    (fun (k, v) -> check Alcotest.(option string) ("find " ^ k) (Some v) (Hc.find k t))
+    [ (a1, "1"); (a2, "2"); (b, "3") ];
+  same_as_fresh "collision split" t;
+  let t = Hc.add c "4" t in
+  same_as_fresh "collision beside a leaf" t;
+  (* Removals collapse back to the shape a fresh build would have. *)
+  let t = Hc.remove b t in
+  same_as_fresh "after removing the split key" t;
+  let t = Hc.remove a1 t in
+  same_as_fresh "collision shrunk to a leaf" t;
+  let t = Hc.remove c t in
+  check Alcotest.(option string) "a2 kept" (Some "2") (Hc.find a2 t);
+  only_leaf "lone leaf moves up to the root" a2 "2" t;
+  (* A two-leaf branch loses a child: the other leaf replaces it. *)
+  only_leaf "sibling collapse" c "4" Hc.(empty |> add a1 "1" |> add c "4" |> remove a1);
+  only_leaf "deep sibling collapse" b "3" Hc.(empty |> add a1 "1" |> add b "3" |> remove a1);
+  check digest_testable "empty again" (Hc.digest Hc.empty)
+    (Hc.digest Hc.(empty |> add a1 "1" |> add a2 "2" |> remove a1 |> remove a2))
+
+(* Random histories over few distinct hashes: collisions, deep chains and
+   collapses on every path. *)
+let prop_hamt_collision_histories =
+  (* Key "k<i>" gets one of six full hashes, chosen by i. *)
+  let collide k =
+    let i = int_of_string (String.sub k 1 (String.length k - 1)) in
+    Printf.sprintf "%d:%s" (((i mod 3) lsl 50) lor (i / 3 mod 2)) k
+  in
+  QCheck.Test.make ~name:"collision histories match Map oracle" ~count:300 arb_ops
+    (fun ops ->
+      let ops =
+        List.map
+          (function `Add (k, v) -> `Add (collide k, v) | `Remove k -> `Remove (collide k))
+          ops
+      in
+      let t =
+        List.fold_left
+          (fun t -> function `Add (k, v) -> Hc.add k v t | `Remove k -> Hc.remove k t)
+          Hc.empty ops
+      in
+      let m = apply_ops_map ops in
+      Hc.to_sorted_list t = SMap.bindings m
+      && Hc.cardinal t = SMap.cardinal m
+      && SMap.for_all (fun k v -> Hc.find k t = Some v) m
+      && D.equal (Hc.digest t) (Hc.digest (Hc.of_list (SMap.bindings m))))
 
 (* --- Store --- *)
 
@@ -212,6 +295,65 @@ let test_state_digest () =
   check Alcotest.bool "value change detected" false
     (D.equal (Store.state_digest s1) (Store.state_digest s3))
 
+(* Any sequence of puts and deletes, overwrites included, over a store
+   that already holds some of the keys. *)
+let arb_tx =
+  let open QCheck in
+  let key = Gen.map (Printf.sprintf "k%d") (Gen.int_bound 12) in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map2 (fun k v -> (k, Store.Put (Printf.sprintf "v%d" v))) key (Gen.int_bound 5));
+        (1, Gen.map (fun k -> (k, Store.Delete)) key);
+      ]
+  in
+  make
+    ~print:(fun (pre, ops) ->
+      Printf.sprintf "pre=%d ops=%s" pre
+        (String.concat ";"
+           (List.map
+              (function
+                | k, Store.Put v -> Printf.sprintf "+%s=%s" k v
+                | k, Store.Delete -> "-" ^ k)
+              ops)))
+    Gen.(pair (int_bound 12) (list_size (int_range 0 30) op))
+
+let prop_write_set_hash_matches_commit =
+  QCheck.Test.make ~name:"write-set hash of explicit writes matches commit" ~count:300
+    arb_tx (fun (pre, ops) ->
+      let s =
+        Store.of_map
+          (Hamt.of_list (List.init pre (fun i -> (Printf.sprintf "k%d" i, "old"))))
+      in
+      let tx = Store.begin_tx s in
+      List.iter
+        (function k, Store.Put v -> Store.put tx k v | k, Store.Delete -> Store.delete tx k)
+        ops;
+      D.equal (Store.commit tx) (Store.write_set_hash (List.rev ops)))
+
+(* Known answers, pinning the encodings: L(k,v) = H(0x00 ‖ k ‖ v), a
+   branch H(0x02 ‖ bitmap ‖ children), the empty trie H(0x03),
+   d_C = H(u64 seqno ‖ root), and the write-set hash over sorted
+   (k, 1 ‖ L(k,v) | 0). The values come from a separate implementation of
+   these definitions, not from this one. *)
+let test_digest_known_answers () =
+  let hex = Alcotest.testable Fmt.string String.equal in
+  (* judy and peggy share a root slot, so the root has a branch child. *)
+  let state =
+    Hamt.of_list
+      [ ("alice", "100"); ("bob", "50"); ("carol", "7"); ("judy", "12"); ("peggy", "3") ]
+  in
+  check hex "leaf" "70ba0e8d59864935222d6010b3a358dbf0825a31a3b34874a55db612c9db1011"
+    (D.to_hex (Hamt.leaf_digest "alice" "100"));
+  check hex "empty checkpoint"
+    "82fb554be6daa0d95dc223559e94803ea5b2d437806933f3e69ade8e1e86f55f"
+    (D.to_hex (Checkpoint.digest Checkpoint.genesis));
+  check hex "checkpoint" "759d83279b44bb17b0c5f476b816b9d93d4cdb1ababa8d45583f7d1f4795efb4"
+    (D.to_hex (Checkpoint.digest (Checkpoint.make ~seqno:42 state)));
+  check hex "write-set hash"
+    "fcbefe959be70bd9adae0579b08c4007d8d9303f67ff7ad7cd80f903b15d10fc"
+    (D.to_hex (Store.write_set_hash [ ("bob", Store.Delete); ("alice", Store.Put "100") ]))
+
 (* --- Checkpoint --- *)
 
 let test_checkpoint_roundtrip () =
@@ -248,10 +390,13 @@ let () =
           Alcotest.test_case "overwrite" `Quick test_hamt_overwrite;
           Alcotest.test_case "remove" `Quick test_hamt_remove;
           Alcotest.test_case "persistence" `Quick test_hamt_persistence;
-          Alcotest.test_case "sorted fold" `Quick test_hamt_sorted_fold;
+          Alcotest.test_case "to_sorted_list order" `Quick test_hamt_sorted_list;
           Alcotest.test_case "many keys" `Quick test_hamt_many_keys;
           qtest prop_hamt_matches_map;
           qtest prop_hamt_find_matches_map;
+          qtest prop_hamt_digest_history_independent;
+          Alcotest.test_case "collisions" `Quick test_hamt_collisions;
+          qtest prop_hamt_collision_histories;
         ] );
       ( "store",
         [
@@ -265,6 +410,8 @@ let () =
             test_write_set_hash_deterministic;
           Alcotest.test_case "write-set hash differs" `Quick test_write_set_hash_differs;
           Alcotest.test_case "state digest" `Quick test_state_digest;
+          qtest prop_write_set_hash_matches_commit;
+          Alcotest.test_case "digest known answers" `Quick test_digest_known_answers;
         ] );
       ( "checkpoint",
         [
