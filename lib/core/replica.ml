@@ -129,19 +129,25 @@ type reconfig_phase =
   | Ending of { vote_seqno : int; new_config : Config.t; committed_root : D.t }
   | Starting of { cp_seqno : int; last_start : int }
 
+(* The state executing a batch can change, captured before its evidence
+   entries go in: a rejected batch, or a rolled-back suffix starting at
+   it, restores exactly this. *)
+type before = {
+  b_ledger_len : int;
+  b_kv_version : int;
+  b_gov_index : int;
+  b_dc : D.t;
+  b_phase : reconfig_phase;
+  b_cfg : Config.t;
+}
+
 type batch_record = {
   br_pp : Message.pre_prepare;
-  br_batch_hashes : D.t list;
   br_requests : Request.t list;
   br_txs : Batch.tx_entry list;
   br_ev_prepares : Message.prepare list;
   br_ev_nonces : (int * string) list;
-  br_ledger_start : int;
-  br_kv_version_before : int;
-  br_gov_index_before : int;
-  br_dc_before : D.t;
-  br_phase_before : reconfig_phase;
-  br_cfg_before : Config.t;
+  br_before : before;
   mutable br_prepared : bool;
   mutable br_committed : bool;
   (* Virtual-clock stamps for the phase latency histograms and spans. *)
@@ -242,8 +248,6 @@ type t = {
      reader the evidence to recompute the receipt-bound write-set hash. *)
   tx_writes : (int, (string * Iaccf_kv.Store.write) list array) Hashtbl.t;
   key_writer : (string, int * int) Hashtbl.t; (* key -> seqno, tx position *)
-  mutable last_exec_writes : (string * Iaccf_kv.Store.write) list list;
-      (* write sets of the batch execute_requests just ran, newest call *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -282,13 +286,6 @@ let replica_ids t = List.map (fun r -> r.Config.replica_id) t.cfg.Config.replica
 let in_config t = Config.replica t.cfg t.rid <> None
 let keep_ledger t = t.params.variant.Variant.keep_ledger
 
-let committed_prefix_length t =
-  if t.last_committed = 0 then 1
-  else
-    match Hashtbl.find_opt t.batch_ledger_end t.last_committed with
-    | Some n -> n
-    | None -> Ledger.length t.ledger
-
 let batch_end_length t seqno =
   if seqno = 0 then 1
   else
@@ -306,6 +303,33 @@ let sub_tbl tbl key =
       let sub = Hashtbl.create 8 in
       Hashtbl.replace tbl key sub;
       sub
+
+let store_prepare t (p : Message.prepare) =
+  Hashtbl.replace
+    (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
+    p.Message.p_replica p
+
+let store_nonces t ~view ~seqno nonces =
+  List.iter (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (view, seqno)) r n) nonces
+
+(* Keep the highest-view pre-prepare this replica prepared at its seqno. *)
+let note_prepared_pp t (pp : Message.pre_prepare) =
+  match Hashtbl.find_opt t.prepared_pps pp.Message.seqno with
+  | Some prev when prev.Message.view >= pp.Message.view -> ()
+  | _ -> Hashtbl.replace t.prepared_pps pp.Message.seqno pp
+
+(* Add a request to the pending pool T (callers check it is not there). *)
+let add_pending t (req : Request.t) hd =
+  Hashtbl.replace t.requests (D.to_raw hd) req;
+  t.request_order <- hd :: t.request_order;
+  Obs.incr t.ctr.c_requests_received
+
+(* Derive this replica's nonce for (view, seqno), keep its opening for the
+   commit phase and return the commitment. *)
+let own_nonce_commit t ~view ~seqno =
+  let nonce = Nonce.derive ~key:t.nonce_key ~view ~seqno in
+  Hashtbl.replace t.own_nonces (view, seqno) (Nonce.reveal nonce);
+  Nonce.commit nonce
 
 (* ------------------------------------------------------------------ *)
 (* Signing: real signatures, or HMAC authenticators for the macs-only  *)
@@ -380,14 +404,14 @@ let verify_pp_sig_async t (pp : Message.pre_prepare) k =
     verify_digest_async t ~cls:"pre_prepare" ~replica:pp.Message.primary
       (Message.pp_hash pp) ~signature:pp.Message.signature k
 
+let prepare_digest (p : Message.prepare) =
+  Message.prepare_payload ~view:p.Message.p_view ~seqno:p.Message.p_seqno
+    ~replica:p.Message.p_replica ~nonce_com:p.Message.p_nonce_com
+    ~pp_hash:p.Message.p_pp_hash
+
 let verify_prepare_sig_async t (p : Message.prepare) k =
-  let payload =
-    Message.prepare_payload ~view:p.Message.p_view ~seqno:p.Message.p_seqno
-      ~replica:p.Message.p_replica ~nonce_com:p.Message.p_nonce_com
-      ~pp_hash:p.Message.p_pp_hash
-  in
-  verify_digest_async t ~cls:"prepare" ~replica:p.Message.p_replica payload
-    ~signature:p.Message.p_signature k
+  verify_digest_async t ~cls:"prepare" ~replica:p.Message.p_replica
+    (prepare_digest p) ~signature:p.Message.p_signature k
 
 let verify_vc_sig_async t (vc : Message.view_change) k =
   let payload =
@@ -477,6 +501,10 @@ let broadcast_replicas t msg =
   let recipients = List.sort_uniq compare (replica_ids t @ t.extra_recipients) in
   List.iter (fun rid -> if rid <> t.rid then send t ~dst:rid msg) recipients
 
+(* Ask [dst] for its ledger from our current length on. *)
+let fetch_state t ~dst =
+  send t ~dst (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+
 let send_to_client t pk msg =
   match t.client_address pk with None -> () | Some addr -> send t ~dst:addr msg
 
@@ -490,53 +518,60 @@ let update_queue_gauge t =
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
 
-(* Commitment evidence for the batch at [s_past]: the pre-prepare signer
-   plus the first quorum-1 backups (ascending id) that contributed both a
-   matching prepare and a nonce opening its commitment. *)
+(* The backups of a batch's commit certificate: the first quorum-1, by
+   ascending id, that sent a prepare matching its pre-prepare and opened
+   that prepare's nonce commitment, as (id, prepare, nonce); [None] while
+   fewer have. *)
+let commit_backups t rec_ =
+  let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
+  let primary = rec_.br_pp.Message.primary in
+  let pph = Message.pp_hash rec_.br_pp in
+  let preps = sub_tbl t.prepares (v, s) in
+  let nonces = sub_tbl t.commits (v, s) in
+  let candidates =
+    Hashtbl.fold
+      (fun r (p : Message.prepare) acc ->
+        if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
+        else begin
+          match Hashtbl.find_opt nonces r with
+          | Some n when D.equal (D.of_string n) p.Message.p_nonce_com ->
+              (r, p, n) :: acc
+          | _ -> acc
+        end)
+      preps []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  let needed = quorum t - 1 in
+  if List.length candidates < needed then None
+  else Some (List.filteri (fun i _ -> i < needed) candidates)
+
+(* Commitment evidence for the batch at [s_past]: the pre-prepare signer,
+   once its nonce is open, plus the batch's commit-certificate backups. *)
 let evidence_for t s_past =
   if s_past < 1 then Some ([], [], Bitmap.empty)
   else begin
     match Hashtbl.find_opt t.records s_past with
     | None -> None
     | Some rec_ -> (
-        let v = rec_.br_pp.Message.view in
-        let pph = Message.pp_hash rec_.br_pp in
         let primary = rec_.br_pp.Message.primary in
-        let preps = sub_tbl t.prepares (v, s_past) in
-        let nonces = sub_tbl t.commits (v, s_past) in
-        let primary_nonce = Hashtbl.find_opt nonces primary in
-        match primary_nonce with
+        let nonces = sub_tbl t.commits (rec_.br_pp.Message.view, s_past) in
+        match Hashtbl.find_opt nonces primary with
         | Some pk_nonce
           when Nonce.check ~commitment:rec_.br_pp.Message.nonce_com
-                 (Option.get (Nonce.of_revealed pk_nonce)) -> (
-            let candidates =
-              Hashtbl.fold
-                (fun r (p : Message.prepare) acc ->
-                  if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
-                  else begin
-                    match Hashtbl.find_opt nonces r with
-                    | Some n
-                      when D.equal (D.of_string n) p.Message.p_nonce_com ->
-                        (r, p, n) :: acc
-                    | _ -> acc
-                  end)
-                preps []
-              |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-            in
-            let needed = quorum t - 1 in
-            if List.length candidates < needed then None
-            else begin
-              let chosen = List.filteri (fun i _ -> i < needed) candidates in
-              let prepares = List.map (fun (_, p, _) -> p) chosen in
-              let nonce_list =
-                List.sort compare
-                  ((primary, pk_nonce) :: List.map (fun (r, _, n) -> (r, n)) chosen)
-              in
-              let bitmap =
-                Bitmap.of_list (primary :: List.map (fun (r, _, _) -> r) chosen)
-              in
-              Some (prepares, nonce_list, bitmap)
-            end)
+                 (Option.get (Nonce.of_revealed pk_nonce)) ->
+            Option.map
+              (fun chosen ->
+                let prepares = List.map (fun (_, p, _) -> p) chosen in
+                let nonce_list =
+                  List.sort compare
+                    ((primary, pk_nonce)
+                    :: List.map (fun (r, _, n) -> (r, n)) chosen)
+                in
+                let bitmap =
+                  Bitmap.of_list (primary :: List.map (fun (r, _, _) -> r) chosen)
+                in
+                (prepares, nonce_list, bitmap))
+              (commit_backups t rec_)
         | _ -> None)
   end
 
@@ -582,6 +617,8 @@ let evidence_matching t s_past (bitmap : Bitmap.t) =
 let is_gov_request (req : Request.t) =
   String.length req.Request.proc >= 4 && String.sub req.Request.proc 0 4 = "gov/"
 
+(* The transaction entries of [reqs] and, in the same order, their write
+   sets. *)
 let execute_requests t ~base_index reqs =
   (* Apply cost lands in the profiler (wall clock), never in obs metrics:
      snapshots must stay byte-identical across same-seed runs. *)
@@ -604,18 +641,10 @@ let execute_requests t ~base_index reqs =
             })
           reqs
       in
-      t.last_exec_writes <- List.rev !writes_rev;
-      txs)
+      (txs, List.rev !writes_rev))
 
 (* ------------------------------------------------------------------ *)
 (* Transaction status (observer/read tier)                             *)
-
-(* Record the write sets of the batch [execute_requests] just produced;
-   called right after each record-creation site so [tx_writes] lines up
-   with [records]. Re-executions (re-proposals, state-transfer replay)
-   overwrite with identical content. *)
-let stash_batch_writes t s =
-  Hashtbl.replace t.tx_writes s (Array.of_list t.last_exec_writes)
 
 let note_committed t s v = Hashtbl.replace t.committed_views s v
 
@@ -677,30 +706,79 @@ let append_ledger t entry = if keep_ledger t then ignore (Ledger.append t.ledger
 let ledger_len t = if keep_ledger t then Ledger.length t.ledger else t.seqno * 4
 let m_root_now t = if keep_ledger t then Ledger.m_root t.ledger else D.zero
 
-let append_evidence_entries t ~s_past ev_prepares ev_nonces =
-  if s_past >= 1 then begin
-    match Hashtbl.find_opt t.records s_past with
-    | None -> ()
-    | Some rec_ ->
-        let v = rec_.br_pp.Message.view in
-        append_ledger t
-          (Entry.Prepare_evidence { pe_view = v; pe_seqno = s_past; pe_prepares = ev_prepares });
-        append_ledger t
-          (Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces })
-  end
+(* The evidence entries for the batch at [s_past] that precede the
+   pre-prepare of batch [s_past + P]. *)
+let evidence_entries t ~s_past ev_prepares ev_nonces =
+  match if s_past >= 1 then Hashtbl.find_opt t.records s_past else None with
+  | None -> []
+  | Some rec_ ->
+      let v = rec_.br_pp.Message.view in
+      [
+        Entry.Prepare_evidence
+          { pe_view = v; pe_seqno = s_past; pe_prepares = ev_prepares };
+        Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces };
+      ]
+
+let restore_before t b =
+  if keep_ledger t then Ledger.truncate t.ledger b.b_ledger_len;
+  Store.rollback t.store b.b_kv_version;
+  t.gov_index <- b.b_gov_index;
+  t.current_dc <- b.b_dc;
+  t.phase <- b.b_phase;
+  t.cfg <- b.b_cfg
+
+(* Execute [reqs] as the next batch (L-PBFT executes before it agrees,
+   §3.1): capture what the batch may change, append the [evidence] entries
+   that precede its pre-prepare, then run the transactions. *)
+let execute_batch t ~evidence reqs =
+  let before =
+    {
+      b_ledger_len = ledger_len t;
+      b_kv_version = Store.version t.store;
+      b_gov_index = t.gov_index;
+      b_dc = t.current_dc;
+      b_phase = t.phase;
+      b_cfg = t.cfg;
+    }
+  in
+  List.iter (append_ledger t) evidence;
+  let txs, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
+  (before, txs, writes)
+
+(* Two executions of a batch agree when every transaction produced the
+   same output and write set; indices may differ, since a re-proposed
+   batch keeps the ones it was first assigned. *)
+let same_results a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Batch.tx_entry) (y : Batch.tx_entry) ->
+         let x = x.Batch.result and y = y.Batch.result in
+         String.equal x.Batch.output y.Batch.output
+         && D.equal x.Batch.write_set_hash y.Batch.write_set_hash)
+       a b
+
+(* The configuration the store holds under the reserved key, if any. *)
+let stored_config t =
+  match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
+  | Some bytes -> ( match Config.deserialize bytes with c -> Some c | exception _ -> None)
+  | None -> None
+
+(* What a batch's entries move whether or not it is executed: i_g follows
+   governance transactions, d_C follows checkpoint batches. *)
+let advance_indices t (pp : Message.pre_prepare) txs =
+  List.iter
+    (fun (tx : Batch.tx_entry) ->
+      if is_gov_request tx.Batch.request then t.gov_index <- tx.Batch.index)
+    txs;
+  match pp.Message.kind with
+  | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
+  | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
 
 (* Shared post-execution bookkeeping: d_C updates, checkpoints, governance
    phase transitions, configuration activation (§5.1, §3.4). *)
 let post_execute_batch t (pp : Message.pre_prepare) txs =
   let s = pp.Message.seqno in
-  (* Governance transactions move i_g. *)
-  List.iter
-    (fun (tx : Batch.tx_entry) ->
-      if is_gov_request tx.Batch.request then t.gov_index <- tx.Batch.index)
-    txs;
-  (match pp.Message.kind with
-  | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
-  | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
+  advance_indices t pp txs;
   let take_checkpoint () =
     let cp = Checkpoint.make ~seqno:s (Store.map t.store) in
     Hashtbl.replace t.checkpoints s (cp, Checkpoint.digest cp);
@@ -722,17 +800,11 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
      configuration under the reserved key. *)
   (match t.phase with
   | Normal -> (
-      match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-      | Some bytes -> (
-          match Config.deserialize bytes with
-          | exception _ -> ()
-          | new_config ->
-              if new_config.Config.config_no > t.cfg.Config.config_no then begin
-                t.extra_recipients <- replica_ids t;
-                t.phase <-
-                  Ending { vote_seqno = s; new_config; committed_root = m_root_now t }
-              end)
-      | None -> ())
+      match stored_config t with
+      | Some new_config when new_config.Config.config_no > t.cfg.Config.config_no ->
+          t.extra_recipients <- replica_ids t;
+          t.phase <- Ending { vote_seqno = s; new_config; committed_root = m_root_now t }
+      | Some _ | None -> ())
   | Ending _ | Starting _ -> ());
   (* Configuration activation at vote_seqno + 2P. *)
   (match t.phase with
@@ -821,29 +893,53 @@ let designated_for t (tx : Batch.tx_entry) =
   let b = Char.code (D.to_raw h).[0] in
   List.nth ids ((b + tx.Batch.index) mod List.length ids)
 
-let own_signature_for t rec_ =
-  let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  if rec_.br_pp.Message.primary = t.rid then Some rec_.br_pp.Message.signature
-  else begin
-    match Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid with
-    | Some p -> Some p.Message.p_signature
-    | None -> None
-  end
+(* This replica's reply for a batch: its own signature over the batch
+   (pre-prepare or prepare) and the opening of its nonce. *)
+let reply_msg t rec_ =
+  let pp = rec_.br_pp in
+  let v = pp.Message.view and s = pp.Message.seqno in
+  let own_signature =
+    if pp.Message.primary = t.rid then Some pp.Message.signature
+    else
+      Option.map
+        (fun (p : Message.prepare) -> p.Message.p_signature)
+        (Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid)
+  in
+  match (own_signature, Hashtbl.find_opt t.own_nonces (v, s)) with
+  | Some signature, Some nonce ->
+      Some
+        (Wire.Reply_msg
+           {
+             Message.r_view = v;
+             r_seqno = s;
+             r_replica = t.rid;
+             r_signature = signature;
+             r_nonce = nonce;
+           })
+  | _ -> None
+
+(* Hand [send] a replyx — the transaction entry with its Merkle path in
+   the batch — for every transaction of the batch that [wanted] picks. *)
+let replyx_each rec_ ~wanted send =
+  let tree = g_tree_of_txs rec_.br_txs in
+  let size = List.length rec_.br_txs in
+  List.iteri
+    (fun i (tx : Batch.tx_entry) ->
+      if wanted tx then
+        send tx
+          (Wire.Replyx_msg
+             {
+               Message.x_pp = rec_.br_pp;
+               x_tx = tx;
+               x_leaf_index = i;
+               x_batch_size = size;
+               x_path = Tree.path tree i;
+             }))
+    rec_.br_txs
 
 let send_replies t rec_ =
-  let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
-  | Some signature, Some nonce ->
-      let reply =
-        Wire.Reply_msg
-          {
-            Message.r_view = v;
-            r_seqno = s;
-            r_replica = t.rid;
-            r_signature = signature;
-            r_nonce = nonce;
-          }
-      in
+  match reply_msg t rec_ with
+  | Some reply ->
       let clients = Hashtbl.create 4 in
       List.iter
         (fun (tx : Batch.tx_entry) ->
@@ -858,81 +954,42 @@ let send_replies t rec_ =
             send_to_client t pk reply
           end)
         rec_.br_txs;
-      if t.params.variant.Variant.gen_receipts then begin
-        let tree = g_tree_of_txs rec_.br_txs in
-        let size = List.length rec_.br_txs in
-        List.iteri
-          (fun i (tx : Batch.tx_entry) ->
-            if designated_for t tx = t.rid then
-              send_to_client t tx.Batch.request.Request.client_pk
-                (Wire.Replyx_msg
-                   {
-                     Message.x_pp = rec_.br_pp;
-                     x_tx = tx;
-                     x_leaf_index = i;
-                     x_batch_size = size;
-                     x_path = Tree.path tree i;
-                   }))
-          rec_.br_txs
-      end
-  | _ -> ()
+      if t.params.variant.Variant.gen_receipts then
+        replyx_each rec_
+          ~wanted:(fun tx -> designated_for t tx = t.rid)
+          (fun tx msg -> send_to_client t tx.Batch.request.Request.client_pk msg)
+  | None -> ()
 
 let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
-  | None -> None
   | Some rec_ when rec_.br_committed -> (
-      let v = rec_.br_pp.Message.view in
-      let primary = rec_.br_pp.Message.primary in
-      let pph = Message.pp_hash rec_.br_pp in
-      let preps = sub_tbl t.prepares (v, seqno) in
-      let nonces = sub_tbl t.commits (v, seqno) in
-      let candidates =
-        Hashtbl.fold
-          (fun r (p : Message.prepare) acc ->
-            if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
-            else begin
-              match Hashtbl.find_opt nonces r with
-              | Some n when D.equal (D.of_string n) p.Message.p_nonce_com ->
-                  (r, p, n) :: acc
-              | _ -> acc
-            end)
-          preps []
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-      in
-      let needed = quorum t - 1 in
-      if List.length candidates < needed then None
-      else begin
-        let chosen = List.filteri (fun i _ -> i < needed) candidates in
-        let subject =
-          match tx_position with
-          | None -> Some Receipt.Batch_subject
-          | Some i ->
-              if i < 0 || i >= List.length rec_.br_txs then None
-              else begin
-                let tree = g_tree_of_txs rec_.br_txs in
-                Some
-                  (Receipt.Tx_subject
-                     {
-                       tx = List.nth rec_.br_txs i;
-                       leaf_index = i;
-                       batch_size = List.length rec_.br_txs;
-                       path = Tree.path tree i;
-                     })
-              end
-        in
-        match subject with
-        | None -> None
-        | Some subject ->
+      let size = List.length rec_.br_txs in
+      let subject =
+        match tx_position with
+        | None -> Some Receipt.Batch_subject
+        | Some i when i < 0 || i >= size -> None
+        | Some i ->
             Some
-              {
-                Receipt.pp = rec_.br_pp;
-                prep_bitmap = Bitmap.of_list (List.map (fun (r, _, _) -> r) chosen);
-                prepare_sigs = List.map (fun (_, p, _) -> p.Message.p_signature) chosen;
-                nonces = List.map (fun (_, _, n) -> n) chosen;
-                subject;
-              }
-      end)
-  | Some _ -> None
+              (Receipt.Tx_subject
+                 {
+                   tx = List.nth rec_.br_txs i;
+                   leaf_index = i;
+                   batch_size = size;
+                   path = Tree.path (g_tree_of_txs rec_.br_txs) i;
+                 })
+      in
+      match (commit_backups t rec_, subject) with
+      | Some chosen, Some subject ->
+          Some
+            {
+              Receipt.pp = rec_.br_pp;
+              prep_bitmap = Bitmap.of_list (List.map (fun (r, _, _) -> r) chosen);
+              prepare_sigs = List.map (fun (_, p, _) -> p.Message.p_signature) chosen;
+              nonces = List.map (fun (_, _, n) -> n) chosen;
+              subject;
+            }
+      | _ -> None)
+  | Some _ | None -> None
 
 let record_gov_receipts t rec_ =
   let seqno = rec_.br_pp.Message.seqno in
@@ -1039,6 +1096,42 @@ let trace_batch_cancelled t rec_ =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Batch adoption outcomes                                             *)
+
+(* How a replica comes to adopt a batch: it proposed it (primary), it
+   accepted a pre-prepare for it (backup), or it replayed the batch from a
+   committed ledger suffix (state transfer, cold restore). *)
+type adoption = Proposed | Accepted | Replayed
+
+(* Why a backup did not accept a pre-prepare. A missing request or
+   missing evidence leaves it buffered until a batch package arrives; a
+   wrong kind or a failed execution check consumes it, and suspicion is
+   left to the progress timer. *)
+type reject =
+  | Fetch_miss of int (* requests not received yet *)
+  | Evidence_miss
+  | Bad_kind
+  | Bad_exec of { min_ok : bool; g_ok : bool; m_ok : bool }
+
+let trace_reject t (pp : Message.pre_prepare) cause =
+  if Obs.tracing_enabled t.obs then begin
+    let int = string_of_int and bool = string_of_bool in
+    let cause_args =
+      match cause with
+      | Fetch_miss n -> [ ("cause", "fetch_miss"); ("missing", int n) ]
+      | Evidence_miss -> [ ("cause", "evidence_miss") ]
+      | Bad_kind -> [ ("cause", "kind") ]
+      | Bad_exec { min_ok; g_ok; m_ok } ->
+          [ ("cause", "exec"); ("min_ok", bool min_ok); ("g_ok", bool g_ok);
+            ("m_ok", bool m_ok) ]
+    in
+    Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.reject"
+      ~args:
+        (cause_args @ [ ("seqno", int pp.Message.seqno); ("view", int pp.Message.view) ])
+      ()
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Forward declarations for the mutually recursive protocol engine      *)
 
 let rec check_prepared t =
@@ -1061,9 +1154,7 @@ let rec check_prepared t =
         rec_.br_prepared <- true;
         t.last_prepared <- q;
         trace_batch_prepared t rec_;
-        (match Hashtbl.find_opt t.prepared_pps q with
-        | Some prev when prev.Message.view >= rec_.br_pp.Message.view -> ()
-        | _ -> Hashtbl.replace t.prepared_pps q rec_.br_pp);
+        note_prepared_pp t rec_.br_pp;
         on_prepared t rec_;
         check_prepared t
       end
@@ -1228,95 +1319,88 @@ and plan_batch t s =
 and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let s = t.seqno in
   let v = t.view in
-  let ledger_start = ledger_len t in
-  let kv_before = Store.version t.store in
-  let gov_before = t.gov_index in
-  let dc_before = t.current_dc in
-  let phase_before = t.phase in
-  let cfg_before = t.cfg in
-  append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces;
-  let base_index = ledger_len t + 1 in
-  let executed = execute_requests t ~base_index reqs in
+  let before, executed, writes =
+    execute_batch t
+      ~evidence:(evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces)
+      reqs
+  in
   let txs =
     (* Re-proposals after a view change keep the original entries so the
        batch's Merkle root (and every receipt bound to it) is unchanged. *)
     match fixed_txs with
-    | Some original
-      when List.length original = List.length executed
-           && List.for_all2
-                (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                  String.equal a.Batch.result.Batch.output b.Batch.result.Batch.output
-                  && D.equal a.Batch.result.Batch.write_set_hash
-                       b.Batch.result.Batch.write_set_hash)
-                original executed ->
-        original
+    | Some original when same_results original executed -> original
     | Some _ | None -> executed
   in
   let g_root = Batch.g_root txs in
   let m_root = m_root_now t in
-  let nonce = Nonce.derive ~key:t.nonce_key ~view:v ~seqno:s in
-  Hashtbl.replace t.own_nonces (v, s) (Nonce.reveal nonce);
-  let payload =
-    Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root
-      ~nonce_com:(Nonce.commit nonce) ~ev_bitmap ~gov_index:gov_before
-      ~cp_digest:dc_before ~kind ~primary:t.rid
-  in
   let pp : Message.pre_prepare =
     {
       Message.view = v;
       seqno = s;
       m_root;
       g_root;
-      nonce_com = Nonce.commit nonce;
+      nonce_com = own_nonce_commit t ~view:v ~seqno:s;
       ev_bitmap;
-      gov_index = gov_before;
-      cp_digest = dc_before;
+      gov_index = before.b_gov_index;
+      cp_digest = before.b_dc;
       kind;
       primary = t.rid;
-      signature = sign_digest t ~cls:"pre_prepare" payload;
+      signature = "";
     }
   in
+  let pp =
+    { pp with Message.signature = sign_digest t ~cls:"pre_prepare" (Message.pp_hash pp) }
+  in
+  adopt_batch t Proposed ~before ~writes ~reqs ~ev_prepares ~ev_nonces pp txs;
+  broadcast_replicas t
+    (Wire.Pre_prepare_msg { pp; batch = List.map Request.hash reqs });
+  check_prepared t
+
+(* The one path by which an executed, checked batch enters the ledger and
+   the replica's books, whether this replica proposed it, accepted it as a
+   backup, or replayed it from a committed suffix. [before] and [writes]
+   are what [execute_batch] returned; the batch's evidence entries are
+   already in the ledger. *)
+and adopt_batch t how ~before ~writes ~reqs ~ev_prepares ~ev_nonces
+    (pp : Message.pre_prepare) txs =
+  let s = pp.Message.seqno in
+  let replayed = how = Replayed in
   append_ledger t (Entry.Pre_prepare pp);
   List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-  let batch_hashes = List.map (fun (r : Request.t) -> Request.hash r) reqs in
   List.iter
     (fun (tx : Batch.tx_entry) ->
       let h = D.to_raw (Request.hash tx.Batch.request) in
       Hashtbl.replace t.executed_requests h tx.Batch.index;
       Hashtbl.remove t.requests h)
     txs;
-  t.request_order <-
-    List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
-  update_queue_gauge t;
+  if not replayed then
+    t.request_order <-
+      List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
+  if how = Proposed then update_queue_gauge t;
   let rec_ =
     {
       br_pp = pp;
-      br_batch_hashes = batch_hashes;
       br_requests = reqs;
       br_txs = txs;
       br_ev_prepares = ev_prepares;
       br_ev_nonces = ev_nonces;
-      br_ledger_start = ledger_start;
-      br_kv_version_before = kv_before;
-      br_gov_index_before = gov_before;
-      br_dc_before = dc_before;
-      br_phase_before = phase_before;
-      br_cfg_before = cfg_before;
-      br_prepared = false;
-      br_committed = false;
+      br_before = before;
+      br_prepared = replayed;
+      br_committed = replayed;
       br_t_pp = 0.0;
       br_t_prepared = 0.0;
     }
   in
   Hashtbl.replace t.records s rec_;
   Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-  stash_batch_writes t s;
-  trace_batch_begin t rec_;
+  (* Re-executions (re-proposals, replay) overwrite with identical sets. *)
+  Hashtbl.replace t.tx_writes s (Array.of_list writes);
+  if not replayed then trace_batch_begin t rec_;
   (* Bridge the two flow identities: request flows are keyed by trace id,
      batch phases by seqno. This instant (primary only — batching happens
      here) lets the critical-path reconstructor hand a request off from
      its queueing segment to its batch's consensus segments. *)
-  if Obs.tracing_enabled t.obs then
+  if how = Proposed && Obs.tracing_enabled t.obs then
     List.iter
       (fun (r : Request.t) ->
         Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.batched"
@@ -1325,9 +1409,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
           ())
       reqs;
   post_execute_batch t pp txs;
-  t.seqno <- s + 1;
-  broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = batch_hashes });
-  check_prepared t
+  t.seqno <- s + 1
 
 (* ------------------------------------------------------------------ *)
 (* Backup processing of pre-prepares (Alg. 1, line 15)                 *)
@@ -1366,11 +1448,11 @@ and validate_kind t (pp : Message.pre_prepare) =
       (Normal | Ending _ | Starting _) ) ->
       false
 
-(* Returns true when the pp was consumed (accepted or definitively
-   rejected); false when it should stay buffered. *)
-and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
+(* Execute and check a pre-prepare as a backup (Alg. 1, line 15) and
+   adopt it, or say why not. A failed check restores the pre-execution
+   state (Alg. 1, line 23). *)
+and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
   let s = pp.Message.seqno in
-  let v = pp.Message.view in
   let missing =
     List.filter
       (fun h ->
@@ -1378,173 +1460,93 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
         && not (Hashtbl.mem t.executed_requests (D.to_raw h)))
       batch_hashes
   in
-  if missing <> [] then begin
-    (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-    | Some _ ->
-        Printf.eprintf "FETCH-MISS r%d s=%d missing=%d\n%!" t.rid s
-          (List.length missing)
-    | None -> ());
-    send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
-    false
-  end
+  if missing <> [] then Error (Fetch_miss (List.length missing))
   else begin
     match evidence_matching t (s - t.params.pipeline) pp.Message.ev_bitmap with
-    | None ->
-        (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-        | Some _ -> Printf.eprintf "FETCH-EV r%d s=%d\n%!" t.rid s
-        | None -> ());
-        send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
-        false
+    | None -> Error Evidence_miss
+    | Some _ when not (validate_kind t pp) -> Error Bad_kind
     | Some (ev_prepares, ev_nonces) ->
-        if not (validate_kind t pp) then begin
-          (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-          | Some _ ->
-              Printf.eprintf
-                "REJECT-KIND r%d s=%d v=%d latest_cp=%d lc=%d phase=%s\n%!"
-                t.rid s v t.latest_cp_seqno t.last_committed
-                (match t.phase with
-                | Normal -> "normal"
-                | Ending _ -> "ending"
-                | Starting _ -> "starting")
-          | None -> ());
-          true (* reject; suspicion via timer *)
+        let reqs =
+          List.map
+            (fun h ->
+              match Hashtbl.find_opt t.requests (D.to_raw h) with
+              | Some r -> r
+              | None -> assert false)
+            batch_hashes
+        in
+        let before, executed, writes =
+          execute_batch t
+            ~evidence:
+              (evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces)
+            reqs
+        in
+        (* A re-proposed batch must keep its original entries: if fresh
+           execution diverges from the pre-prepare's g_root only in the
+           assigned indices, adopt the archived entries for this root. *)
+        let g_root = Batch.g_root executed in
+        let txs, g_root =
+          if D.equal g_root pp.Message.g_root then (executed, g_root)
+          else begin
+            match
+              Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
+            with
+            | Some (_, _, original) when same_results original executed ->
+                (original, Batch.g_root original)
+            | _ -> (executed, g_root)
+          end
+        in
+        let min_ok =
+          List.for_all
+            (fun (tx : Batch.tx_entry) ->
+              tx.Batch.request.Request.min_index <= tx.Batch.index)
+            txs
+        in
+        let g_ok = D.equal g_root pp.Message.g_root in
+        let m_ok = (not (keep_ledger t)) || D.equal (m_root_now t) pp.Message.m_root in
+        if min_ok && g_ok && m_ok then begin
+          adopt_batch t Accepted ~before ~writes ~reqs ~ev_prepares ~ev_nonces pp txs;
+          Ok ()
         end
         else begin
-          let ledger_start = ledger_len t in
-          let kv_before = Store.version t.store in
-          let gov_before = t.gov_index in
-          let dc_before = t.current_dc in
-          let phase_before = t.phase in
-          let cfg_before = t.cfg in
-          append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares
-            ev_nonces;
-          let base_index = ledger_len t + 1 in
-          let reqs =
-            List.map
-              (fun h ->
-                match Hashtbl.find_opt t.requests (D.to_raw h) with
-                | Some r -> r
-                | None -> assert false)
-              batch_hashes
-          in
-          let txs = execute_requests t ~base_index reqs in
-          let undo () =
-            if keep_ledger t then Ledger.truncate t.ledger ledger_start;
-            Store.rollback t.store kv_before;
-            t.gov_index <- gov_before;
-            t.current_dc <- dc_before;
-            t.phase <- phase_before;
-            t.cfg <- cfg_before
-          in
-          (* A re-proposed batch must keep its original entries: if fresh
-             execution diverges from the pre-prepare's g_root only in the
-             assigned indices, adopt the archived entries for this root. *)
-          let g_root = Batch.g_root txs in
-          let txs, g_root =
-            if D.equal g_root pp.Message.g_root then (txs, g_root)
-            else begin
-              match
-                Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
-              with
-              | Some (_, _, original)
-                when List.length original = List.length txs
-                     && List.for_all2
-                          (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                            String.equal a.Batch.result.Batch.output
-                              b.Batch.result.Batch.output
-                            && D.equal a.Batch.result.Batch.write_set_hash
-                                 b.Batch.result.Batch.write_set_hash)
-                          original txs ->
-                  (original, Batch.g_root original)
-              | _ -> (txs, g_root)
-            end
-          in
-          let m_root = m_root_now t in
-          let min_index_ok =
-            List.for_all
-              (fun (tx : Batch.tx_entry) ->
-                tx.Batch.request.Request.min_index <= tx.Batch.index)
-              txs
-          in
-          if
-            (not min_index_ok)
-            || (not (D.equal g_root pp.Message.g_root))
-            || (keep_ledger t && not (D.equal m_root pp.Message.m_root))
-          then begin
-            (* Divergent execution or a lying primary: roll back (Alg. 1,
-               line 23) and let the progress timer trigger a view change. *)
-            (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-            | Some _ ->
-                Printf.eprintf
-                  "REJECT-EXEC r%d s=%d v=%d min_ok=%b g_ok=%b m_ok=%b\n%!"
-                  t.rid s v min_index_ok
-                  (D.equal g_root pp.Message.g_root)
-                  ((not (keep_ledger t)) || D.equal m_root pp.Message.m_root)
-            | None -> ());
-            undo ();
-            true
-          end
-          else begin
-            append_ledger t (Entry.Pre_prepare pp);
-            List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                Hashtbl.remove t.requests h)
-              txs;
-            t.request_order <-
-              List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
-            let nonce = Nonce.derive ~key:t.nonce_key ~view:v ~seqno:s in
-            Hashtbl.replace t.own_nonces (v, s) (Nonce.reveal nonce);
-            let pph = Message.pp_hash pp in
-            let payload =
-              Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid
-                ~nonce_com:(Nonce.commit nonce) ~pp_hash:pph
-            in
-            let prepare =
-              {
-                Message.p_view = v;
-                p_seqno = s;
-                p_replica = t.rid;
-                p_nonce_com = Nonce.commit nonce;
-                p_pp_hash = pph;
-                p_signature = sign_digest t ~cls:"prepare" payload;
-              }
-            in
-            let rec_ =
-              {
-                br_pp = pp;
-                br_batch_hashes = batch_hashes;
-                br_requests = reqs;
-                br_txs = txs;
-                br_ev_prepares = ev_prepares;
-                br_ev_nonces = ev_nonces;
-                br_ledger_start = ledger_start;
-                br_kv_version_before = kv_before;
-                br_gov_index_before = gov_before;
-                br_dc_before = dc_before;
-                br_phase_before = phase_before;
-                br_cfg_before = cfg_before;
-                br_prepared = false;
-                br_committed = false;
-                br_t_pp = 0.0;
-                br_t_prepared = 0.0;
-              }
-            in
-            Hashtbl.replace t.records s rec_;
-            Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-            stash_batch_writes t s;
-            trace_batch_begin t rec_;
-            post_execute_batch t pp txs;
-            t.seqno <- s + 1;
-            Hashtbl.replace (sub_tbl t.prepares (v, s)) t.rid prepare;
-            broadcast_replicas t (Wire.Prepare_msg prepare);
-            check_prepared t;
-            true
-          end
+          restore_before t before;
+          Error (Bad_exec { min_ok; g_ok; m_ok })
         end
   end
+
+(* Returns true when the pp was consumed (accepted or definitively
+   rejected); false when it should stay buffered. *)
+and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
+  let s = pp.Message.seqno in
+  let v = pp.Message.view in
+  match accept_pre_prepare t pp batch_hashes with
+  | Ok () ->
+      let prepare =
+        {
+          Message.p_view = v;
+          p_seqno = s;
+          p_replica = t.rid;
+          p_nonce_com = own_nonce_commit t ~view:v ~seqno:s;
+          p_pp_hash = Message.pp_hash pp;
+          p_signature = "";
+        }
+      in
+      let prepare =
+        {
+          prepare with
+          p_signature = sign_digest t ~cls:"prepare" (prepare_digest prepare);
+        }
+      in
+      store_prepare t prepare;
+      broadcast_replicas t (Wire.Prepare_msg prepare);
+      check_prepared t;
+      true
+  | Error cause -> (
+      trace_reject t pp cause;
+      match cause with
+      | Fetch_miss _ | Evidence_miss ->
+          send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
+          false
+      | Bad_kind | Bad_exec _ -> true (* suspicion via the progress timer *))
 
 and try_process_pending t =
   match Hashtbl.find_opt t.pending_pps t.seqno with
@@ -1563,13 +1565,6 @@ and try_process_pending t =
   | _ -> ()
 
 and on_pre_prepare t (pp : Message.pre_prepare) batch =
-  (match Sys.getenv_opt "IACCF_DEBUG_PP" with
-  | Some _ ->
-      Printf.eprintf
-        "PP r%d: recv s=%d v=%d | my v=%d s=%d ready=%b nonce_used=%b\n%!" t.rid
-        pp.Message.seqno pp.Message.view t.view t.seqno t.ready
-        (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
-  | None -> ());
   if t.running && t.activated && pp.Message.primary <> t.rid then begin
     if pp.Message.view >= t.view then
       verify_pp_sig_async t pp (fun sig_ok ->
@@ -1615,51 +1610,18 @@ and arm_batch_timer t =
    whichever replica answers first — the designated one may be cut off)
    so sustained message loss cannot strand a completed request forever. *)
 and resend_executed t (req : Request.t) h =
-  let exception Found in
-  try
-    Hashtbl.iter
-      (fun _ rec_ ->
-        if
-          rec_.br_committed
-          && List.exists
-               (fun (tx : Batch.tx_entry) ->
-                 D.equal (Request.hash tx.Batch.request) h)
-               rec_.br_txs
-        then begin
-          let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-          (match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
-          | Some signature, Some nonce ->
-              send_to_client t req.Request.client_pk
-                (Wire.Reply_msg
-                   {
-                     Message.r_view = v;
-                     r_seqno = s;
-                     r_replica = t.rid;
-                     r_signature = signature;
-                     r_nonce = nonce;
-                   })
-          | _ -> ());
-          if t.params.variant.Variant.gen_receipts then begin
-            let tree = g_tree_of_txs rec_.br_txs in
-            let size = List.length rec_.br_txs in
-            List.iteri
-              (fun i (tx : Batch.tx_entry) ->
-                if D.equal (Request.hash tx.Batch.request) h then
-                  send_to_client t req.Request.client_pk
-                    (Wire.Replyx_msg
-                       {
-                         Message.x_pp = rec_.br_pp;
-                         x_tx = tx;
-                         x_leaf_index = i;
-                         x_batch_size = size;
-                         x_path = Tree.path tree i;
-                       }))
-              rec_.br_txs
-          end;
-          raise Found
-        end)
-      t.records
-  with Found -> ()
+  let has_tx (tx : Batch.tx_entry) = D.equal (Request.hash tx.Batch.request) h in
+  match
+    Seq.find
+      (fun rec_ -> rec_.br_committed && List.exists has_tx rec_.br_txs)
+      (Hashtbl.to_seq_values t.records)
+  with
+  | None -> ()
+  | Some rec_ ->
+      Option.iter (send_to_client t req.Request.client_pk) (reply_msg t rec_);
+      if t.params.variant.Variant.gen_receipts then
+        replyx_each rec_ ~wanted:has_tx (fun _ msg ->
+            send_to_client t req.Request.client_pk msg)
 
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
@@ -1688,9 +1650,7 @@ and on_request t (req : Request.t) =
     else if not (Hashtbl.mem t.requests h) then begin
       let admit ok =
         if ok && not (Hashtbl.mem t.requests h) then begin
-          Hashtbl.replace t.requests h req;
-          t.request_order <- hd :: t.request_order;
-          Obs.incr t.ctr.c_requests_received;
+          add_pending t req hd;
           if is_primary t then Obs.incr t.ctr.c_load_admitted;
           update_queue_gauge t;
           if Obs.tracing_enabled t.obs then
@@ -1727,8 +1687,7 @@ and on_prepare t (p : Message.prepare) =
   if t.running && t.activated && p.Message.p_replica <> t.rid then
     verify_prepare_sig_async t p (fun sig_ok ->
         if sig_ok then begin
-          Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-            p.Message.p_replica p;
+          store_prepare t p;
           check_prepared t
         end)
 
@@ -1761,25 +1720,25 @@ and on_commit t (c : Message.commit) =
 (* Roll-back (Appx. A, Lemma 1)                                        *)
 
 and rollback_to t target =
-  (match Sys.getenv_opt "IACCF_DEBUG_ROLLBACK" with
-  | Some _ when target < t.seqno - 1 ->
-      Printf.eprintf "ROLLBACK r%d target=%d seqno=%d lc=%d lp=%d view=%d\n%!"
-        t.rid target t.seqno t.last_committed t.last_prepared t.view
-  | _ -> ());
   let top = t.seqno - 1 in
   (* Remember the highest seqno ever reached before forgetting records:
      the status table keeps answering PENDING (never back to UNKNOWN) for
      rolled-back ids awaiting re-proposal. *)
   if top > t.hw_seqno then t.hw_seqno <- top;
   if top > target then begin
+    if Obs.tracing_enabled t.obs then
+      Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.rollback"
+        ~args:
+          [
+            ("target", string_of_int target);
+            ("seqno", string_of_int t.seqno);
+            ("last_committed", string_of_int t.last_committed);
+            ("last_prepared", string_of_int t.last_prepared);
+            ("view", string_of_int t.view);
+          ]
+        ();
     (match Hashtbl.find_opt t.records (target + 1) with
-    | Some rec_ ->
-        if keep_ledger t then Ledger.truncate t.ledger rec_.br_ledger_start;
-        Store.rollback t.store rec_.br_kv_version_before;
-        t.gov_index <- rec_.br_gov_index_before;
-        t.current_dc <- rec_.br_dc_before;
-        t.phase <- rec_.br_phase_before;
-        t.cfg <- rec_.br_cfg_before
+    | Some rec_ -> restore_before t rec_.br_before
     | None -> ());
     for q = target + 1 to top do
       match Hashtbl.find_opt t.records q with
@@ -1793,14 +1752,10 @@ and rollback_to t target =
               let hd = Request.hash req in
               let h = D.to_raw hd in
               Hashtbl.remove t.executed_requests h;
-              if not (Hashtbl.mem t.requests h) then begin
-                Hashtbl.replace t.requests h req;
-                t.request_order <- hd :: t.request_order;
-                (* Back in the pending pool: it will be proposed (and
-                   counted committed) again, so count the re-admission to
-                   keep requests_committed <= requests_received. *)
-                Obs.incr t.ctr.c_requests_received
-              end)
+              (* Back in the pending pool: it will be proposed (and
+                 counted committed) again, so count the re-admission to
+                 keep requests_committed <= requests_received. *)
+              if not (Hashtbl.mem t.requests h) then add_pending t req hd)
             rec_.br_requests;
           Hashtbl.remove t.records q;
           Hashtbl.remove t.batch_ledger_end q
@@ -1822,6 +1777,17 @@ and rollback_to t target =
     if t.last_prepared > target then t.last_prepared <- target;
     if t.last_committed > target then t.last_committed <- target
   end
+
+(* Roll back to [target] and cut the ledger right after its batch. *)
+and truncate_to t target =
+  rollback_to t target;
+  if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target)
+
+(* Drop the speculative suffix back to the committed prefix and ask [dst]
+   for the ledger from there on. *)
+and refetch_from_committed t ~dst =
+  truncate_to t t.last_committed;
+  fetch_state t ~dst
 
 (* ------------------------------------------------------------------ *)
 (* View changes (Alg. 2)                                               *)
@@ -1951,10 +1917,7 @@ and maybe_new_view t =
                drop it and fetch the committed entries from a replica that
                prepared the high-water batch (Alg. 2). *)
             t.fetch_target <- Some vc.Message.vc_replica;
-            rollback_to t t.last_committed;
-            if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-            send t ~dst:vc.Message.vc_replica
-              (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+            refetch_from_committed t ~dst:vc.Message.vc_replica
         | None -> ()
       end
       else begin
@@ -1963,10 +1926,9 @@ and maybe_new_view t =
           List.filter_map content_of
             (List.init (max 0 (s_lp - target)) (fun i -> target + 1 + i))
         in
-        rollback_to t target;
         (* Drop stale view-change entries beyond the last batch: the new
            view's ledger is canonical-prefix + [view-change set][new-view]. *)
-        if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
+        truncate_to t target;
         let entry = Entry.View_change_set vcs in
         let h_vc = Entry.leaf_digest entry in
         append_ledger t entry;
@@ -2043,15 +2005,11 @@ and try_complete_new_view t =
            batches the quorum never saw): drop back to the committed prefix
            and fetch the primary's ledger (Alg. 2's reconciliation). *)
         t.fetch_target <- Some nv.Message.nv_primary;
-        rollback_to t t.last_committed;
-        if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-        send t ~dst:nv.Message.nv_primary
-          (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+        refetch_from_committed t ~dst:nv.Message.nv_primary
       in
       if t.last_committed < target then reconcile ()
       else begin
-        rollback_to t target;
-        if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
+        truncate_to t target;
         let vcs_sorted =
           List.sort (fun a b -> compare a.Message.vc_replica b.Message.vc_replica) vcs
         in
@@ -2087,18 +2045,11 @@ and try_complete_new_view t =
 (* State transfer                                                      *)
 
 and store_package_evidence t (bp : Wire.batch_package) =
-  List.iter
-    (fun (p : Message.prepare) ->
-      Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-        p.Message.p_replica p)
-    bp.Wire.bp_ev_prepares;
+  List.iter (store_prepare t) bp.Wire.bp_ev_prepares;
   let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
   match Hashtbl.find_opt t.records past with
   | Some rec_ ->
-      let v = rec_.br_pp.Message.view in
-      List.iter
-        (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (v, past)) r n)
-        bp.Wire.bp_ev_nonces;
+      store_nonces t ~view:rec_.br_pp.Message.view ~seqno:past bp.Wire.bp_ev_nonces;
       check_committed t
   | None -> ()
 
@@ -2108,7 +2059,7 @@ and safe_ledger_length t =
   if t.last_prepared >= t.seqno - 1 then Ledger.length t.ledger
   else begin
     match Hashtbl.find_opt t.records (t.last_prepared + 1) with
-    | Some rec_ -> rec_.br_ledger_start
+    | Some rec_ -> rec_.br_before.b_ledger_len
     | None -> Ledger.length t.ledger
   end
 
@@ -2265,34 +2216,43 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
   (* Current batch being assembled: (pp, txs rev). *)
   let current = ref None in
   let staged_ev = ref [] in (* evidence entries awaiting their pp, reversed *)
+  (* A replayed batch was committed where it came from. *)
+  let adopted_committed (pp : Message.pre_prepare) =
+    let s = pp.Message.seqno in
+    seal_from_kind t pp;
+    t.last_prepared <- max t.last_prepared s;
+    t.last_committed <- max t.last_committed s;
+    note_committed t s pp.Message.view;
+    advance_stable t;
+    progressed := true
+  in
   let flush_batch () =
     match !current with
     | None -> ()
     | Some (pp, txs_rev) ->
         current := None;
         let recorded = List.rev txs_rev in
+        let evidence = List.rev !staged_ev in
+        staged_ev := [];
         let s = pp.Message.seqno in
         let skip_exec = s <= skip_exec_upto in
-        (* Checkpoint-based bootstrap (Â§3.4): entries up to the installed
+        (* Checkpoint-based bootstrap (§3.4): entries up to the installed
            checkpoint are adopted without re-execution; only checkpoint
            batches' signatures are verified, plus the Merkle chain below. *)
         let sig_ok =
-          if skip_exec then begin
-            match pp.Message.kind with
-            | Batch.Checkpoint _ -> verify_pp_sig t pp
-            | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> true
-          end
-          else verify_pp_sig t pp
+          match pp.Message.kind with
+          | (Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _)
+            when skip_exec ->
+              true
+          | _ -> verify_pp_sig t pp
         in
         if s <> t.seqno || not sig_ok then aborted := true
         else if skip_exec then begin
           (* Adopt verbatim: ledger, Merkle chain, and bookkeeping move; the
              key-value store comes from the checkpoint instead. *)
-          List.iter (fun e -> append_ledger t e) (List.rev !staged_ev);
-          staged_ev := [];
-          let m_root = m_root_now t in
+          List.iter (append_ledger t) evidence;
           if
-            (not (D.equal m_root pp.Message.m_root))
+            (not (D.equal (m_root_now t) pp.Message.m_root))
             || not (D.equal (Batch.g_root recorded) pp.Message.g_root)
           then aborted := true
           else begin
@@ -2300,130 +2260,48 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
             List.iter
               (fun (tx : Batch.tx_entry) ->
                 append_ledger t (Entry.Tx tx);
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                let proc = tx.Batch.request.Request.proc in
-                if String.length proc >= 4 && String.sub proc 0 4 = "gov/" then
-                  t.gov_index <- tx.Batch.index)
+                Hashtbl.replace t.executed_requests
+                  (D.to_raw (Request.hash tx.Batch.request))
+                  tx.Batch.index)
               recorded;
-            (match pp.Message.kind with
-            | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
-            | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
-            seal_from_kind t pp;
+            advance_indices t pp recorded;
             Hashtbl.replace t.batch_ledger_end s (ledger_len t);
             t.seqno <- s + 1;
-            t.last_prepared <- max t.last_prepared s;
-            t.last_committed <- max t.last_committed s;
             (* Skip region: no execution, so there are no write sets to
                index, but the status table still learns the batch's view. *)
-            note_committed t s pp.Message.view;
-            advance_stable t;
-            progressed := true
+            adopted_committed pp
           end
         end
         else begin
-          let ledger_start = ledger_len t in
-          let kv_before = Store.version t.store in
-          let gov_before = t.gov_index in
-          let dc_before = t.current_dc in
-          let phase_before = t.phase in
-          let cfg_before = t.cfg in
           (* Evidence entries preceding this pp go in verbatim and feed the
              message stores so later evidence assembly works. *)
           List.iter
-            (fun e ->
-              (match e with
+            (function
               | Entry.Prepare_evidence { pe_prepares; _ } ->
-                  List.iter
-                    (fun (p : Message.prepare) ->
-                      Hashtbl.replace
-                        (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-                        p.Message.p_replica p)
-                    pe_prepares
+                  List.iter (store_prepare t) pe_prepares
               | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-                  List.iter
-                    (fun (r, n) ->
-                      Hashtbl.replace (sub_tbl t.commits (ne_view, ne_seqno)) r n)
-                    ne_nonces
-              | _ -> ());
-              append_ledger t e)
-            (List.rev !staged_ev);
-          staged_ev := [];
+                  store_nonces t ~view:ne_view ~seqno:ne_seqno ne_nonces
+              | _ -> ())
+            evidence;
           let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) recorded in
-          let base_index = ledger_len t + 1 in
-          let executed = execute_requests t ~base_index reqs in
+          let before, executed, writes = execute_batch t ~evidence reqs in
           (* Indices are adopted from the recorded entries (they are bound by
              the signed g_root and may be lower than the physical position if
              the batch was re-proposed after a view change). *)
-          let matches =
-            List.length executed = List.length recorded
-            && List.for_all2
-                 (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                   String.equal a.Batch.result.Batch.output b.Batch.result.Batch.output
-                   && D.equal a.Batch.result.Batch.write_set_hash
-                        b.Batch.result.Batch.write_set_hash)
-                 executed recorded
-          in
-          let txs = recorded in
-          let g_root = Batch.g_root txs in
-          let m_root = m_root_now t in
           if
-            (not matches)
-            || (not (D.equal g_root pp.Message.g_root))
-            || not (D.equal m_root pp.Message.m_root)
+            same_results executed recorded
+            && D.equal (Batch.g_root recorded) pp.Message.g_root
+            && D.equal (m_root_now t) pp.Message.m_root
           then begin
-            if keep_ledger t then Ledger.truncate t.ledger ledger_start;
-            Store.rollback t.store kv_before;
-            t.gov_index <- gov_before;
-            t.current_dc <- dc_before;
-            t.phase <- phase_before;
-            t.cfg <- cfg_before;
-            aborted := true
+            adopt_batch t Replayed ~before ~writes ~reqs ~ev_prepares:[] ~ev_nonces:[]
+              pp recorded;
+            note_prepared_pp t pp;
+            index_batch_writes t s;
+            adopted_committed pp
           end
           else begin
-            append_ledger t (Entry.Pre_prepare pp);
-            List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                Hashtbl.remove t.requests h)
-              txs;
-            let rec_ =
-              {
-                br_pp = pp;
-                br_batch_hashes = List.map Request.hash reqs;
-                br_requests = reqs;
-                br_txs = txs;
-                br_ev_prepares = [];
-                br_ev_nonces = [];
-                br_ledger_start = ledger_start;
-                br_kv_version_before = kv_before;
-                br_gov_index_before = gov_before;
-                br_dc_before = dc_before;
-                br_phase_before = phase_before;
-                br_cfg_before = cfg_before;
-                br_prepared = true;
-                br_committed = true;
-                br_t_pp = 0.0;
-                br_t_prepared = 0.0;
-              }
-            in
-            Hashtbl.replace t.records s rec_;
-            Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-            stash_batch_writes t s;
-            (match Hashtbl.find_opt t.prepared_pps s with
-            | Some prev when prev.Message.view >= pp.Message.view -> ()
-            | _ -> Hashtbl.replace t.prepared_pps s pp);
-            post_execute_batch t pp txs;
-            seal_from_kind t pp;
-            t.seqno <- s + 1;
-            t.last_prepared <- max t.last_prepared s;
-            t.last_committed <- max t.last_committed s;
-            note_committed t s pp.Message.view;
-            index_batch_writes t s;
-            advance_stable t;
-            progressed := true
+            restore_before t before;
+            aborted := true
           end
         end
   in
@@ -2484,8 +2362,7 @@ and on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view =
             if in_config t && not t.activated then t.activated <- true;
             (match t.fetch_target with
             | Some target when Ledger.length t.ledger < lc_upto || not t.activated ->
-                send t ~dst:target
-                  (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+                fetch_state t ~dst:target
             | Some _ -> t.fetch_target <- None
             | None ->
                 if Ledger.length t.ledger < lc_upto then
@@ -2523,8 +2400,7 @@ and on_snapshot_offer t ~src ~cp_seqno ~total ~bytes ~upto ~view =
     && bytes >= 0
     && bytes <= 64 * 1024 * 1024
   then begin
-    rollback_to t t.last_committed;
-    Ledger.truncate t.ledger (committed_prefix_length t);
+    truncate_to t t.last_committed;
     let s =
       SyncSession.create ~peer:src ~cp_seqno ~total ~bytes ~upto ~view
         ~suffix_from:(Ledger.length t.ledger) ~now:(Obs.now t.obs)
@@ -2585,7 +2461,7 @@ and drop_session_and_retarget t s ~verify_failed reason =
   | None -> ()
   | Some target ->
       t.fetch_target <- Some target;
-      send t ~dst:target (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+      fetch_state t ~dst:target
 
 (* Install once the snapshot is assembled and the buffered suffix reaches
    the batch that seals its digest. The gate, in order: the bytes decode
@@ -2659,20 +2535,23 @@ and try_install_session t s =
                 end
               end))
 
-and install_session t s cp digest entries ~seal_seqno =
+(* Build on checkpoint [cp] (§3.4 bootstrap): install its state, adopt
+   [entries] up to it without re-execution and replay the rest. *)
+and install_checkpoint t cp digest entries =
   let cp_seqno = cp.Checkpoint.seqno in
   Store.reset_to t.store cp.Checkpoint.state;
   ignore (apply_entries t ~skip_exec_upto:cp_seqno entries);
   (* Configuration is read back from the installed state; joining
      mid-reconfiguration is not supported (as before). *)
-  (match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-  | Some bytes -> (
-      match Config.deserialize bytes with
-      | exception _ -> ()
-      | c -> if c.Config.config_no > t.cfg.Config.config_no then t.cfg <- c)
-  | None -> ());
+  (match stored_config t with
+  | Some c when c.Config.config_no > t.cfg.Config.config_no -> t.cfg <- c
+  | Some _ | None -> ());
   Hashtbl.replace t.checkpoints cp_seqno (cp, digest);
-  t.latest_cp_seqno <- max t.latest_cp_seqno cp_seqno;
+  t.latest_cp_seqno <- max t.latest_cp_seqno cp_seqno
+
+and install_session t s cp digest entries ~seal_seqno =
+  let cp_seqno = cp.Checkpoint.seqno in
+  install_checkpoint t cp digest entries;
   Hashtbl.replace t.sealed_cps cp_seqno digest;
   Hashtbl.replace t.sealed_at cp_seqno seal_seqno;
   if cp_seqno > t.latest_sealed_cp then t.latest_sealed_cp <- cp_seqno;
@@ -2712,11 +2591,7 @@ and on_batch_package t (bp : Wire.batch_package) =
         let hd = Request.hash req in
         let h = D.to_raw hd in
         if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
-        then begin
-          Hashtbl.replace t.requests h req;
-          t.request_order <- hd :: t.request_order;
-          Obs.incr t.ctr.c_requests_received
-        end)
+        then add_pending t req hd)
       bp.Wire.bp_requests;
     store_package_evidence t bp;
     if
@@ -2786,9 +2661,7 @@ and progress_tick t =
        us and we have caught up (§5.1). *)
     if not (tick_sync_session t) then begin
       match t.fetch_target with
-      | Some target ->
-          send t ~dst:target
-            (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+      | Some target -> fetch_state t ~dst:target
       | None -> ()
     end;
     arm_progress_timer t
@@ -2813,15 +2686,11 @@ and progress_tick_active t =
       let has_gap =
         Hashtbl.fold (fun s _ acc -> acc || s > t.seqno) t.pending_pps false
       in
-      if has_gap && t.ready && t.stall_count <= 1 then begin
+      if has_gap && t.ready && t.stall_count <= 1 then
         (* Likely just lost messages: drop the speculative suffix and
            bulk-fetch from the committed prefix. If that does not restore
            progress by the next tick, suspect the primary instead. *)
-        rollback_to t t.last_committed;
-        if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-        send t ~dst:(primary_id t)
-          (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-      end
+        refetch_from_committed t ~dst:(primary_id t)
       else start_view_change t
     end
     else if not working then t.stall_count <- 0;
@@ -2886,28 +2755,13 @@ let on_message t ~src msg =
     | Wire.Replyx_request { rr_seqno; rr_tx_hash } ->
         (* The client may not know which batch its transaction landed in;
            check the hinted seqno first, then search by request hash. *)
+        let wanted (tx : Batch.tx_entry) =
+          D.equal (Request.hash tx.Batch.request) rr_tx_hash
+        in
         let answer_from rec_ =
-          if rec_.br_committed then begin
-            let tree = g_tree_of_txs rec_.br_txs in
-            let size = List.length rec_.br_txs in
-            List.iteri
-              (fun i (tx : Batch.tx_entry) ->
-                if D.equal (Request.hash tx.Batch.request) rr_tx_hash then
-                  send t ~dst:src
-                    (Wire.Replyx_msg
-                       {
-                         Message.x_pp = rec_.br_pp;
-                         x_tx = tx;
-                         x_leaf_index = i;
-                         x_batch_size = size;
-                         x_path = Tree.path tree i;
-                       }))
-              rec_.br_txs;
-            List.exists
-              (fun (tx : Batch.tx_entry) -> D.equal (Request.hash tx.Batch.request) rr_tx_hash)
-              rec_.br_txs
-          end
-          else false
+          rec_.br_committed
+          && (replyx_each rec_ ~wanted (fun _ msg -> send t ~dst:src msg);
+              List.exists wanted rec_.br_txs)
         in
         let found =
           match Hashtbl.find_opt t.records rr_seqno with
@@ -3043,16 +2897,7 @@ let restore_from_storage t storage =
     in
     (match snapshot with
     | Some (cp, digest) ->
-        Store.reset_to t.store cp.Checkpoint.state;
-        ignore (apply_entries t ~skip_exec_upto:cp.Checkpoint.seqno entries);
-        (match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-        | Some bytes -> (
-            match Config.deserialize bytes with
-            | exception _ -> ()
-            | c -> if c.Config.config_no > t.cfg.Config.config_no then t.cfg <- c)
-        | None -> ());
-        Hashtbl.replace t.checkpoints cp.Checkpoint.seqno (cp, digest);
-        t.latest_cp_seqno <- max t.latest_cp_seqno cp.Checkpoint.seqno;
+        install_checkpoint t cp digest entries;
         Obs.incr t.sync.cold_snapshot_restore
     | None ->
         ignore (apply_entries t entries);
@@ -3171,7 +3016,6 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       hw_seqno = 0;
       tx_writes = Hashtbl.create 64;
       key_writer = Hashtbl.create 64;
-      last_exec_writes = [];
     }
   in
   Hashtbl.replace t.checkpoints 0 (cp0, Checkpoint.digest cp0);
@@ -3208,7 +3052,7 @@ let inject_view_change t = start_view_change t
 let join t ~from =
   if t.running then begin
     t.fetch_target <- Some from;
-    send t ~dst:from (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+    fetch_state t ~dst:from
   end
 
 let join_snapshot t ~from =

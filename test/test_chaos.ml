@@ -26,6 +26,67 @@ let run ~label ~scenarios ~seeds =
     exit 1
   end
 
+(* Digests of the seed-1 metrics snapshot and verdict of the cells that
+   drive view change, re-proposal, state transfer, snapshot install and
+   cold restore. Two runs of one binary agreeing (below) does not catch a
+   refactor that changes what these paths do; comparing against constants
+   captured before the change does. A deliberate behaviour change re-pins
+   them, and says so. *)
+let pinned =
+  [
+    ( "crash-restart",
+      "3494b4f4c8bfba66956e445f226ae174",
+      "6088c39d1405343be7b3915fb08633f6" );
+    ( "primary-crash",
+      "1acb48f6c3a1d8e8c36b3bf72c48a8cb",
+      "6088c39d1405343be7b3915fb08633f6" );
+    ( "partition-heal",
+      "c58d28f03080ac9025ec93b377e0ef7d",
+      "6088c39d1405343be7b3915fb08633f6" );
+    ( "cold-restart",
+      "9c105961e0aaf28d7cc672397e7fb390",
+      "497fe3f00ce32d894dd2d87f8d5a5de5" );
+    ( "snapshot-cold-restart",
+      "679a6e003738becc9e1478356670355a",
+      "e8bb88feff376a2c6460fd102823291e" );
+    ( "prune-stale-rejoin",
+      "0dc739c654498600740e6e850e4bbe18",
+      "5c2135964e1366c709ab3658de72b99d" );
+  ]
+
+let render_metrics m =
+  String.concat "" (List.map (fun (k, v) -> k ^ " " ^ v ^ "\n") m)
+
+let render_verdict = function Ok s -> "ok " ^ s | Error e -> "error " ^ e
+
+(* Every drifted cell is reported before failing, so a deliberate re-pin
+   reads all new values from one run. *)
+let pin_check () =
+  let drifted =
+    List.filter
+      (fun (name, want_m, want_v) ->
+        match Scenarios.find name with
+        | None ->
+            Printf.eprintf "chaos: pinned scenario %s is missing\n" name;
+            true
+        | Some sc ->
+            let r = Runner.run_one sc ~seed:1 in
+            let hex s = Digest.to_hex (Digest.string s) in
+            let got_m = hex (render_metrics r.Runner.r_metrics)
+            and got_v =
+              hex (render_verdict r.Runner.r_verdict.Oracle.vd_result)
+            in
+            let bad = got_m <> want_m || got_v <> want_v in
+            if bad then
+              Printf.eprintf
+                "chaos: %s seed=1 drifted from its pin: metrics %s (pinned \
+                 %s), verdict %s (pinned %s)\n"
+                name got_m want_m got_v want_v;
+            bad)
+      pinned
+  in
+  if drifted <> [] then exit 1
+
 (* The smoke matrix must also be *deterministic*: the same cell run twice
    must produce the same oracle verdict and byte-identical metrics
    snapshots (the failure-reproducer contract depends on it). The
@@ -62,7 +123,8 @@ let determinism_check () =
           sc.Scenario.sc_name;
         exit 1
       end)
-    cells
+    cells;
+  pin_check ()
 
 let () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "smoke" with

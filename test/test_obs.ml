@@ -386,6 +386,52 @@ let test_flow_pairing_drained () =
           events))
 
 (* --------------------------------------------------------------- *)
+(* Rejection causes                                                 *)
+
+(* An equivocating primary hands odd-numbered backups a validly signed
+   twin pre-prepare committing to another ledger root. Those backups
+   execute the batch, find the m_root check failing, and say so in the
+   trace: a replica.reject instant whose cause is the execution check,
+   with only m_ok false. The even backup, given the honest pre-prepare,
+   never rejects on execution. *)
+let test_reject_cause () =
+  let obs = Obs.create ~metrics:true ~tracing:true () in
+  let cluster = Cluster.make ~seed:3 ~n:4 ~obs () in
+  Network.set_intercept (Cluster.network cluster) 0
+    (Iaccf_chaos.Byz.intercept ~sk:(Cluster.replica_sk cluster 0)
+       ~client_base:Cluster.client_base Iaccf_chaos.Byz.Equivocate_pre_prepares);
+  let client = Cluster.add_client cluster () in
+  let completed = ref 0 in
+  for i = 1 to 4 do
+    Client.submit client ~proc:"counter/add" ~args:(string_of_int i)
+      ~on_complete:(fun _ -> incr completed)
+      ()
+  done;
+  ignore (Cluster.run_until cluster ~timeout_ms:60_000.0 (fun () -> !completed >= 4));
+  let exec_rejects =
+    List.filter
+      (fun e ->
+        e.Obs.ev_ph = Obs.Instant
+        && e.Obs.ev_name = "replica.reject"
+        && List.assoc_opt "cause" e.Obs.ev_args = Some "exec")
+      (Obs.events obs)
+  in
+  check Alcotest.bool "an execution-check rejection is traced" true
+    (exec_rejects <> []);
+  List.iter
+    (fun e ->
+      check Alcotest.bool "only odd backups reject on execution" true
+        (e.Obs.ev_node = 1 || e.Obs.ev_node = 3);
+      check
+        Alcotest.(list (option string))
+        "min_ok, g_ok, m_ok"
+        [ Some "true"; Some "true"; Some "false" ]
+        (List.map
+           (fun k -> List.assoc_opt k e.Obs.ev_args)
+           [ "min_ok"; "g_ok"; "m_ok" ]))
+    exec_rejects
+
+(* --------------------------------------------------------------- *)
 (* Trace IDs                                                        *)
 
 let prop_trace_id_no_collision =
@@ -515,5 +561,7 @@ let () =
             test_chrome_trace_schema;
           Alcotest.test_case "critical-path reconstruction" `Quick
             test_critical_path_sanity;
+          Alcotest.test_case "rejection cause of an equivocated batch" `Quick
+            test_reject_cause;
         ] );
     ]
