@@ -13,6 +13,7 @@ module Schnorr = Iaccf_crypto.Schnorr
 module Profile = Iaccf_crypto.Profile
 module Vstage = Iaccf_crypto.Vstage
 module D = Iaccf_crypto.Digest32
+module Sha256 = Iaccf_crypto.Sha256
 module Nonce = Iaccf_crypto.Nonce
 module Hmac = Iaccf_crypto.Hmac
 module Bitmap = Iaccf_util.Bitmap
@@ -141,10 +142,28 @@ type before = {
   b_cfg : Config.t;
 }
 
+(* A request in the pending pool T: its digest, and the SHA-256 state
+   after absorbing its serialization, from which its transaction entry's
+   G leaf resumes (Batch.tx_leaf_from). The state leaves with the request
+   when a batch adopts it. *)
+type pending = { p_req : Request.t; p_digest : D.t; p_mid : Sha256.snapshot }
+
+(* A batch's content as archives and re-proposals carry it: the
+   transaction entries with, position by position, their request digests
+   and G leaves, so nothing is hashed again. *)
+type content = {
+  c_kind : Batch.kind;
+  c_txs : Batch.tx_entry list;
+  c_digests : D.t list;
+  c_leaves : D.t list;
+}
+
 type batch_record = {
   br_pp : Message.pre_prepare;
-  br_requests : Request.t list;
+  br_pp_hash : D.t; (* H(pp), computed once when signing or verifying it *)
   br_txs : Batch.tx_entry list;
+  br_digests : D.t list; (* request digests, aligned with br_txs *)
+  br_leaves : D.t list; (* G leaves, aligned with br_txs *)
   br_ev_prepares : Message.prepare list;
   br_ev_nonces : (int * string) list;
   br_before : before;
@@ -187,15 +206,18 @@ type t = {
   store : Store.t;
   ledger : Ledger.t;
   storage : Iaccf_storage.Store.t option;  (* durable ledger backend *)
-  requests : (string, Request.t) Hashtbl.t;
+  requests : (string, pending) Hashtbl.t; (* raw digest -> request *)
   mutable request_order : D.t list; (* request hashes, newest first *)
-  executed_requests : (string, int) Hashtbl.t; (* hash -> ledger index *)
+  executed_requests : (string, int) Hashtbl.t;
+      (* raw request digest -> seqno of the batch that executed it *)
   records : (int, batch_record) Hashtbl.t;
   prepares : (int * int, (int, Message.prepare) Hashtbl.t) Hashtbl.t;
-  commits : (int * int, (int, string) Hashtbl.t) Hashtbl.t;
-  own_nonces : (int * int, string) Hashtbl.t;
+  commits : (int * int, (int, string * D.t) Hashtbl.t) Hashtbl.t;
+      (* opened nonces, each with its hash (the commitment it opens) *)
+  own_nonces : (int * int, string * D.t) Hashtbl.t; (* opening, commitment *)
   view_changes : (int, (int, Message.view_change) Hashtbl.t) Hashtbl.t;
-  pending_pps : (int, Message.pre_prepare * D.t list) Hashtbl.t;
+  pending_pps : (int, Message.pre_prepare * D.t * D.t list) Hashtbl.t;
+      (* seqno -> buffered pre-prepare, its H(pp) and its batch B *)
   checkpoints : (int, Checkpoint.t * D.t) Hashtbl.t;
   mutable latest_cp_seqno : int;
   (* State sync (lib/statesync): which checkpoint digests a COMMITTED
@@ -225,7 +247,7 @@ type t = {
   batch_ledger_end : (int, int) Hashtbl.t;
       (* seqno -> ledger length right after the batch's entries; defines the
          canonical cut point when a view change rebuilds the suffix *)
-  archived_content : (int * string, Batch.kind * Request.t list * Batch.tx_entry list) Hashtbl.t;
+  archived_content : (int * string, content) Hashtbl.t;
       (* (seqno, raw g_root) -> batch content, stashed on rollback. A batch
          re-proposed in a later view keeps its original transaction entries
          (and hence ledger indices and g_root), as required for receipts to
@@ -309,8 +331,13 @@ let store_prepare t (p : Message.prepare) =
     (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
     p.Message.p_replica p
 
+(* Keep replica [r]'s opened nonce for (view, seqno), hashed once here:
+   every later commit check compares the stored hash. *)
+let store_nonce t ~view ~seqno r n =
+  Hashtbl.replace (sub_tbl t.commits (view, seqno)) r (n, D.of_string n)
+
 let store_nonces t ~view ~seqno nonces =
-  List.iter (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (view, seqno)) r n) nonces
+  List.iter (fun (r, n) -> store_nonce t ~view ~seqno r n) nonces
 
 (* Keep the highest-view pre-prepare this replica prepared at its seqno. *)
 let note_prepared_pp t (pp : Message.pre_prepare) =
@@ -318,18 +345,25 @@ let note_prepared_pp t (pp : Message.pre_prepare) =
   | Some prev when prev.Message.view >= pp.Message.view -> ()
   | _ -> Hashtbl.replace t.prepared_pps pp.Message.seqno pp
 
+(* A request as it enters the pending pool: the one place a replica
+   hashes a request's bytes (besides its signing payload). *)
+let pending_of (req : Request.t) =
+  let p_digest, p_mid = Request.hash_and_midstate req in
+  { p_req = req; p_digest; p_mid }
+
 (* Add a request to the pending pool T (callers check it is not there). *)
-let add_pending t (req : Request.t) hd =
-  Hashtbl.replace t.requests (D.to_raw hd) req;
-  t.request_order <- hd :: t.request_order;
+let add_pending t p =
+  Hashtbl.replace t.requests (D.to_raw p.p_digest) p;
+  t.request_order <- p.p_digest :: t.request_order;
   Obs.incr t.ctr.c_requests_received
 
 (* Derive this replica's nonce for (view, seqno), keep its opening for the
    commit phase and return the commitment. *)
 let own_nonce_commit t ~view ~seqno =
   let nonce = Nonce.derive ~key:t.nonce_key ~view ~seqno in
-  Hashtbl.replace t.own_nonces (view, seqno) (Nonce.reveal nonce);
-  Nonce.commit nonce
+  let commitment = Nonce.commit nonce in
+  Hashtbl.replace t.own_nonces (view, seqno) (Nonce.reveal nonce, commitment);
+  commitment
 
 (* ------------------------------------------------------------------ *)
 (* Signing: real signatures, or HMAC authenticators for the macs-only  *)
@@ -388,21 +422,24 @@ let verify_digest_async t ~cls ~replica d ~signature k =
         Vstage.submit t.vstage ~cls ~principal:Profile.Replica_key pk (D.to_raw d)
           ~signature k
 
-let verify_pp_sig t (pp : Message.pre_prepare) =
+(* [pph] is [Message.pp_hash pp], which the caller keeps. *)
+let verify_pp_hashed t (pp : Message.pre_prepare) pph =
   pp.Message.primary = Config.primary_of_view t.cfg pp.Message.view
-  && verify_digest t ~cls:"pre_prepare" ~replica:pp.Message.primary
-       (Message.pp_hash pp) ~signature:pp.Message.signature
+  && verify_digest t ~cls:"pre_prepare" ~replica:pp.Message.primary pph
+       ~signature:pp.Message.signature
+
+let verify_pp_sig t pp = verify_pp_hashed t pp (Message.pp_hash pp)
 
 (* Async forms of the per-message verifiers (the sole form for prepare /
    view-change / new-view — their handlers all went through the stage);
    structure checks stay synchronous (they cost nothing), only the
    signature math goes through the stage. *)
-let verify_pp_sig_async t (pp : Message.pre_prepare) k =
+let verify_pp_sig_async t (pp : Message.pre_prepare) pph k =
   if pp.Message.primary <> Config.primary_of_view t.cfg pp.Message.view then
     k false
   else
-    verify_digest_async t ~cls:"pre_prepare" ~replica:pp.Message.primary
-      (Message.pp_hash pp) ~signature:pp.Message.signature k
+    verify_digest_async t ~cls:"pre_prepare" ~replica:pp.Message.primary pph
+      ~signature:pp.Message.signature k
 
 let prepare_digest (p : Message.prepare) =
   Message.prepare_payload ~view:p.Message.p_view ~seqno:p.Message.p_seqno
@@ -525,7 +562,7 @@ let update_queue_gauge t =
 let commit_backups t rec_ =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
   let primary = rec_.br_pp.Message.primary in
-  let pph = Message.pp_hash rec_.br_pp in
+  let pph = rec_.br_pp_hash in
   let preps = sub_tbl t.prepares (v, s) in
   let nonces = sub_tbl t.commits (v, s) in
   let candidates =
@@ -534,7 +571,7 @@ let commit_backups t rec_ =
         if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
         else begin
           match Hashtbl.find_opt nonces r with
-          | Some n when D.equal (D.of_string n) p.Message.p_nonce_com ->
+          | Some (n, h) when D.equal h p.Message.p_nonce_com ->
               (r, p, n) :: acc
           | _ -> acc
         end)
@@ -556,9 +593,7 @@ let evidence_for t s_past =
         let primary = rec_.br_pp.Message.primary in
         let nonces = sub_tbl t.commits (rec_.br_pp.Message.view, s_past) in
         match Hashtbl.find_opt nonces primary with
-        | Some pk_nonce
-          when Nonce.check ~commitment:rec_.br_pp.Message.nonce_com
-                 (Option.get (Nonce.of_revealed pk_nonce)) ->
+        | Some (pk_nonce, h) when D.equal h rec_.br_pp.Message.nonce_com ->
             Option.map
               (fun chosen ->
                 let prepares = List.map (fun (_, p, _) -> p) chosen in
@@ -599,7 +634,7 @@ let evidence_matching t s_past (bitmap : Bitmap.t) =
                 | Some (ps, ns) -> (
                     match Hashtbl.find_opt nonces r with
                     | None -> None
-                    | Some n ->
+                    | Some (n, _) ->
                         if r = primary then Some (ps, (r, n) :: ns)
                         else begin
                           match Hashtbl.find_opt preps r with
@@ -757,6 +792,27 @@ let same_results a b =
          && D.equal x.Batch.write_set_hash y.Batch.write_set_hash)
        a b
 
+(* The G leaves of freshly executed [txs], whose requests have [digests]:
+   a leaf resumes from its request's midstate while the request waits in
+   the pending pool, and hashes the whole entry otherwise. *)
+let leaves_of t digests txs =
+  List.map2
+    (fun d tx ->
+      match Hashtbl.find_opt t.requests (D.to_raw d) with
+      | Some p -> Batch.tx_leaf_from p.p_mid tx
+      | None -> Batch.tx_leaf tx)
+    digests txs
+
+let content_of_record rec_ =
+  {
+    c_kind = rec_.br_pp.Message.kind;
+    c_txs = rec_.br_txs;
+    c_digests = rec_.br_digests;
+    c_leaves = rec_.br_leaves;
+  }
+
+let requests_of txs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs
+
 (* The configuration the store holds under the reserved key, if any. *)
 let stored_config t =
   match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
@@ -882,15 +938,17 @@ let seal_from_kind t (pp : Message.pre_prepare) =
 (* ------------------------------------------------------------------ *)
 (* Receipts and replies                                                *)
 
-let g_tree_of_txs txs =
+(* G rebuilt from a record's stored leaves, for audit paths. *)
+let g_tree rec_ =
   let tree = Tree.create () in
-  List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) txs;
+  List.iter (Tree.append tree) rec_.br_leaves;
   tree
 
-let designated_for t (tx : Batch.tx_entry) =
+(* The replica that sends the replyx for the transaction whose request
+   has digest [digest]. *)
+let designated_for t ~digest (tx : Batch.tx_entry) =
   let ids = replica_ids t in
-  let h = Request.hash tx.Batch.request in
-  let b = Char.code (D.to_raw h).[0] in
+  let b = Char.code (D.to_raw digest).[0] in
   List.nth ids ((b + tx.Batch.index) mod List.length ids)
 
 (* This replica's reply for a batch: its own signature over the batch
@@ -906,7 +964,7 @@ let reply_msg t rec_ =
         (Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid)
   in
   match (own_signature, Hashtbl.find_opt t.own_nonces (v, s)) with
-  | Some signature, Some nonce ->
+  | Some signature, Some (nonce, _) ->
       Some
         (Wire.Reply_msg
            {
@@ -919,13 +977,14 @@ let reply_msg t rec_ =
   | _ -> None
 
 (* Hand [send] a replyx — the transaction entry with its Merkle path in
-   the batch — for every transaction of the batch that [wanted] picks. *)
+   the batch — for every transaction of the batch that [wanted] picks by
+   its request digest. *)
 let replyx_each rec_ ~wanted send =
-  let tree = g_tree_of_txs rec_.br_txs in
+  let tree = lazy (g_tree rec_) in
   let size = List.length rec_.br_txs in
   List.iteri
-    (fun i (tx : Batch.tx_entry) ->
-      if wanted tx then
+    (fun i ((tx : Batch.tx_entry), digest) ->
+      if wanted digest tx then
         send tx
           (Wire.Replyx_msg
              {
@@ -933,9 +992,9 @@ let replyx_each rec_ ~wanted send =
                x_tx = tx;
                x_leaf_index = i;
                x_batch_size = size;
-               x_path = Tree.path tree i;
+               x_path = Tree.path (Lazy.force tree) i;
              }))
-    rec_.br_txs
+    (List.combine rec_.br_txs rec_.br_digests)
 
 let send_replies t rec_ =
   match reply_msg t rec_ with
@@ -956,7 +1015,7 @@ let send_replies t rec_ =
         rec_.br_txs;
       if t.params.variant.Variant.gen_receipts then
         replyx_each rec_
-          ~wanted:(fun tx -> designated_for t tx = t.rid)
+          ~wanted:(fun digest tx -> designated_for t ~digest tx = t.rid)
           (fun tx msg -> send_to_client t tx.Batch.request.Request.client_pk msg)
   | None -> ()
 
@@ -975,7 +1034,7 @@ let build_receipt t ~seqno ~tx_position =
                    tx = List.nth rec_.br_txs i;
                    leaf_index = i;
                    batch_size = size;
-                   path = Tree.path (g_tree_of_txs rec_.br_txs) i;
+                   path = Tree.path (g_tree rec_) i;
                  })
       in
       match (commit_backups t rec_, subject) with
@@ -1018,7 +1077,7 @@ let batch_package t ~seqno =
       Some
         {
           Wire.bp_pp = rec_.br_pp;
-          bp_requests = rec_.br_requests;
+          bp_requests = requests_of rec_.br_txs;
           bp_ev_prepares = rec_.br_ev_prepares;
           bp_ev_nonces = rec_.br_ev_nonces;
         }
@@ -1140,7 +1199,7 @@ let rec check_prepared t =
   | None -> ()
   | Some rec_ ->
       let v = rec_.br_pp.Message.view in
-      let pph = Message.pp_hash rec_.br_pp in
+      let pph = rec_.br_pp_hash in
       let preps = sub_tbl t.prepares (v, q) in
       let matching =
         Hashtbl.fold
@@ -1162,7 +1221,7 @@ let rec check_prepared t =
 and on_prepared t rec_ =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
   (match Hashtbl.find_opt t.own_nonces (v, s) with
-  | Some nonce ->
+  | Some (nonce, commitment) ->
       let commit =
         { Message.c_view = v; c_seqno = s; c_replica = t.rid; c_nonce = nonce }
       in
@@ -1178,7 +1237,7 @@ and on_prepared t rec_ =
                  (D.to_raw
                     (D.of_string (Printf.sprintf "commit:%d:%d:%d" v s t.rid)))))
       end;
-      Hashtbl.replace (sub_tbl t.commits (v, s)) t.rid nonce;
+      Hashtbl.replace (sub_tbl t.commits (v, s)) t.rid (nonce, commitment);
       if Obs.tracing_enabled t.obs then
         Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal"
           ~id:(string_of_int s) ();
@@ -1194,12 +1253,12 @@ and check_committed t =
   | Some rec_ when rec_.br_prepared ->
       let v = rec_.br_pp.Message.view in
       let primary = rec_.br_pp.Message.primary in
-      let pph = Message.pp_hash rec_.br_pp in
+      let pph = rec_.br_pp_hash in
       let preps = sub_tbl t.prepares (v, q) in
       let nonces = sub_tbl t.commits (v, q) in
       let valid =
         Hashtbl.fold
-          (fun r n acc ->
+          (fun r (_, h) acc ->
             let commitment =
               if r = primary then Some rec_.br_pp.Message.nonce_com
               else begin
@@ -1210,7 +1269,7 @@ and check_committed t =
               end
             in
             match commitment with
-            | Some c when D.equal (D.of_string n) c -> acc + 1
+            | Some c when D.equal h c -> acc + 1
             | _ -> acc)
           nonces 0
       in
@@ -1300,38 +1359,40 @@ and plan_batch t s =
               else begin
                 match Hashtbl.find_opt t.requests h with
                 | None -> take acc n rest
-                | Some req ->
+                | Some { p_req = req; p_digest; _ } ->
                     if Hashtbl.mem t.executed_requests h then begin
                       Hashtbl.remove t.requests h;
                       take acc n rest
                     end
                     else if req.Request.min_index > base_index + List.length acc then
                       take acc n rest
-                    else if is_gov_request req then List.rev ((h, req) :: acc)
-                    else take ((h, req) :: acc) (n - 1) rest
+                    else if is_gov_request req then List.rev ((p_digest, req) :: acc)
+                    else take ((p_digest, req) :: acc) (n - 1) rest
               end
         in
         let order = List.rev t.request_order in
         let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
-        if chosen = [] then None else Some (Batch.Regular, List.map snd chosen)
+        if chosen = [] then None else Some (Batch.Regular, chosen)
       end
 
-and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
+(* [reqs] are (digest, request) pairs in execution order. *)
+and emit_batch t ?fixed ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let s = t.seqno in
   let v = t.view in
+  let batch = List.map fst reqs in
   let before, executed, writes =
     execute_batch t
       ~evidence:(evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces)
-      reqs
+      (List.map snd reqs)
   in
-  let txs =
+  let txs, digests, leaves =
     (* Re-proposals after a view change keep the original entries so the
        batch's Merkle root (and every receipt bound to it) is unchanged. *)
-    match fixed_txs with
-    | Some original when same_results original executed -> original
-    | Some _ | None -> executed
+    match fixed with
+    | Some c when same_results c.c_txs executed -> (c.c_txs, c.c_digests, c.c_leaves)
+    | Some _ | None -> (executed, batch, leaves_of t batch executed)
   in
-  let g_root = Batch.g_root txs in
+  let g_root = Tree.root_of_leaves leaves in
   let m_root = m_root_now t in
   let pp : Message.pre_prepare =
     {
@@ -1348,31 +1409,31 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       signature = "";
     }
   in
-  let pp =
-    { pp with Message.signature = sign_digest t ~cls:"pre_prepare" (Message.pp_hash pp) }
-  in
-  adopt_batch t Proposed ~before ~writes ~reqs ~ev_prepares ~ev_nonces pp txs;
-  broadcast_replicas t
-    (Wire.Pre_prepare_msg { pp; batch = List.map Request.hash reqs });
+  let pph = Message.pp_hash pp in
+  let pp = { pp with Message.signature = sign_digest t ~cls:"pre_prepare" pph } in
+  adopt_batch t Proposed ~before ~writes ~digests ~leaves ~ev_prepares ~ev_nonces pp pph
+    txs;
+  broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch });
   check_prepared t
 
 (* The one path by which an executed, checked batch enters the ledger and
    the replica's books, whether this replica proposed it, accepted it as a
    backup, or replayed it from a committed suffix. [before] and [writes]
    are what [execute_batch] returned; the batch's evidence entries are
-   already in the ledger. *)
-and adopt_batch t how ~before ~writes ~reqs ~ev_prepares ~ev_nonces
-    (pp : Message.pre_prepare) txs =
+   already in the ledger. [digests] and [leaves] are the request digests
+   and G leaves of [txs], and [pph] is H(pp). *)
+and adopt_batch t how ~before ~writes ~digests ~leaves ~ev_prepares ~ev_nonces
+    (pp : Message.pre_prepare) pph txs =
   let s = pp.Message.seqno in
   let replayed = how = Replayed in
   append_ledger t (Entry.Pre_prepare pp);
   List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
   List.iter
-    (fun (tx : Batch.tx_entry) ->
-      let h = D.to_raw (Request.hash tx.Batch.request) in
-      Hashtbl.replace t.executed_requests h tx.Batch.index;
+    (fun d ->
+      let h = D.to_raw d in
+      Hashtbl.replace t.executed_requests h s;
       Hashtbl.remove t.requests h)
-    txs;
+    digests;
   if not replayed then
     t.request_order <-
       List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
@@ -1380,8 +1441,10 @@ and adopt_batch t how ~before ~writes ~reqs ~ev_prepares ~ev_nonces
   let rec_ =
     {
       br_pp = pp;
-      br_requests = reqs;
+      br_pp_hash = pph;
       br_txs = txs;
+      br_digests = digests;
+      br_leaves = leaves;
       br_ev_prepares = ev_prepares;
       br_ev_nonces = ev_nonces;
       br_before = before;
@@ -1402,12 +1465,12 @@ and adopt_batch t how ~before ~writes ~reqs ~ev_prepares ~ev_nonces
      its queueing segment to its batch's consensus segments. *)
   if how = Proposed && Obs.tracing_enabled t.obs then
     List.iter
-      (fun (r : Request.t) ->
+      (fun d ->
         Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.batched"
-          ~id:(Request.trace_id r)
+          ~id:(Request.trace_id_of_hash d)
           ~args:[ ("seqno", string_of_int s) ]
           ())
-      reqs;
+      digests;
   post_execute_batch t pp txs;
   t.seqno <- s + 1
 
@@ -1450,8 +1513,8 @@ and validate_kind t (pp : Message.pre_prepare) =
 
 (* Execute and check a pre-prepare as a backup (Alg. 1, line 15) and
    adopt it, or say why not. A failed check restores the pre-execution
-   state (Alg. 1, line 23). *)
-and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
+   state (Alg. 1, line 23). [pph] is H(pp). *)
+and accept_pre_prepare t (pp : Message.pre_prepare) pph batch_hashes =
   let s = pp.Message.seqno in
   let missing =
     List.filter
@@ -1470,7 +1533,7 @@ and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           List.map
             (fun h ->
               match Hashtbl.find_opt t.requests (D.to_raw h) with
-              | Some r -> r
+              | Some p -> p.p_req
               | None -> assert false)
             batch_hashes
         in
@@ -1483,16 +1546,17 @@ and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
         (* A re-proposed batch must keep its original entries: if fresh
            execution diverges from the pre-prepare's g_root only in the
            assigned indices, adopt the archived entries for this root. *)
-        let g_root = Batch.g_root executed in
-        let txs, g_root =
-          if D.equal g_root pp.Message.g_root then (executed, g_root)
+        let leaves = leaves_of t batch_hashes executed in
+        let g_root = Tree.root_of_leaves leaves in
+        let txs, digests, leaves, g_root =
+          if D.equal g_root pp.Message.g_root then (executed, batch_hashes, leaves, g_root)
           else begin
             match
               Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
             with
-            | Some (_, _, original) when same_results original executed ->
-                (original, Batch.g_root original)
-            | _ -> (executed, g_root)
+            | Some c when same_results c.c_txs executed ->
+                (c.c_txs, c.c_digests, c.c_leaves, Tree.root_of_leaves c.c_leaves)
+            | _ -> (executed, batch_hashes, leaves, g_root)
           end
         in
         let min_ok =
@@ -1504,7 +1568,8 @@ and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
         let g_ok = D.equal g_root pp.Message.g_root in
         let m_ok = (not (keep_ledger t)) || D.equal (m_root_now t) pp.Message.m_root in
         if min_ok && g_ok && m_ok then begin
-          adopt_batch t Accepted ~before ~writes ~reqs ~ev_prepares ~ev_nonces pp txs;
+          adopt_batch t Accepted ~before ~writes ~digests ~leaves ~ev_prepares ~ev_nonces
+            pp pph txs;
           Ok ()
         end
         else begin
@@ -1515,10 +1580,10 @@ and accept_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
 
 (* Returns true when the pp was consumed (accepted or definitively
    rejected); false when it should stay buffered. *)
-and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
+and process_pre_prepare t (pp : Message.pre_prepare) pph batch_hashes =
   let s = pp.Message.seqno in
   let v = pp.Message.view in
-  match accept_pre_prepare t pp batch_hashes with
+  match accept_pre_prepare t pp pph batch_hashes with
   | Ok () ->
       let prepare =
         {
@@ -1526,7 +1591,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           p_seqno = s;
           p_replica = t.rid;
           p_nonce_com = own_nonce_commit t ~view:v ~seqno:s;
-          p_pp_hash = Message.pp_hash pp;
+          p_pp_hash = pph;
           p_signature = "";
         }
       in
@@ -1550,7 +1615,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
 
 and try_process_pending t =
   match Hashtbl.find_opt t.pending_pps t.seqno with
-  | Some (pp, batch) when t.ready ->
+  | Some (pp, pph, batch) when t.ready ->
       if pp.Message.view < t.view then begin
         (* Superseded by a view change. *)
         Hashtbl.remove t.pending_pps t.seqno;
@@ -1558,7 +1623,7 @@ and try_process_pending t =
       end
       else if pp.Message.view > t.view then ()
         (* Keep: it may become processable once we adopt that view. *)
-      else if process_pre_prepare t pp batch then begin
+      else if process_pre_prepare t pp pph batch then begin
         Hashtbl.remove t.pending_pps t.seqno;
         try_process_pending t
       end
@@ -1566,8 +1631,9 @@ and try_process_pending t =
 
 and on_pre_prepare t (pp : Message.pre_prepare) batch =
   if t.running && t.activated && pp.Message.primary <> t.rid then begin
-    if pp.Message.view >= t.view then
-      verify_pp_sig_async t pp (fun sig_ok ->
+    if pp.Message.view >= t.view then begin
+      let pph = Message.pp_hash pp in
+      verify_pp_sig_async t pp pph (fun sig_ok ->
           (* Re-check the view guard: with the pool enabled an earlier
              callback in this flush may have advanced the view (inline
              mode runs the callback immediately, so the re-check is a
@@ -1577,8 +1643,8 @@ and on_pre_prepare t (pp : Message.pre_prepare) batch =
               pp.Message.view = t.view && t.ready && pp.Message.seqno = t.seqno
               && not (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
             then begin
-              if process_pre_prepare t pp batch then () else
-                Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch);
+              if process_pre_prepare t pp pph batch then () else
+                Hashtbl.replace t.pending_pps pp.Message.seqno (pp, pph, batch);
               try_process_pending t
             end
             else if pp.Message.seqno >= t.seqno || (not t.ready) || pp.Message.view > t.view
@@ -1587,10 +1653,11 @@ and on_pre_prepare t (pp : Message.pre_prepare) batch =
                  back below this pre-prepare's: keep everything for the newest
                  view until the new-view settles. *)
               match Hashtbl.find_opt t.pending_pps pp.Message.seqno with
-              | Some (prev, _) when prev.Message.view > pp.Message.view -> ()
-              | _ -> Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch)
+              | Some (prev, _, _) when prev.Message.view > pp.Message.view -> ()
+              | _ -> Hashtbl.replace t.pending_pps pp.Message.seqno (pp, pph, batch)
             end
           end)
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1608,79 +1675,79 @@ and arm_batch_timer t =
 (* A client retransmitting an already-executed request means the original
    replies were lost: resend this replica's reply (and the replyx, from
    whichever replica answers first — the designated one may be cut off)
-   so sustained message loss cannot strand a completed request forever. *)
-and resend_executed t (req : Request.t) h =
-  let has_tx (tx : Batch.tx_entry) = D.equal (Request.hash tx.Batch.request) h in
-  match
-    Seq.find
-      (fun rec_ -> rec_.br_committed && List.exists has_tx rec_.br_txs)
-      (Hashtbl.to_seq_values t.records)
-  with
-  | None -> ()
-  | Some rec_ ->
+   so sustained message loss cannot strand a completed request forever.
+   [seqno] is the batch that executed the request, whose digest is [hd]. *)
+and resend_executed t (req : Request.t) ~seqno hd =
+  match Hashtbl.find_opt t.records seqno with
+  | Some rec_ when rec_.br_committed ->
       Option.iter (send_to_client t req.Request.client_pk) (reply_msg t rec_);
       if t.params.variant.Variant.gen_receipts then
-        replyx_each rec_ ~wanted:has_tx (fun _ msg ->
-            send_to_client t req.Request.client_pk msg)
+        replyx_each rec_
+          ~wanted:(fun d _ -> D.equal d hd)
+          (fun _ msg -> send_to_client t req.Request.client_pk msg)
+  | Some _ | None -> ()
 
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
-    let hd = Request.hash req in
+    let p = pending_of req in
+    let hd = p.p_digest in
     let h = D.to_raw hd in
-    if Hashtbl.mem t.executed_requests h then resend_executed t req hd
-    else if
-      (* Admission control (primary only): shed fresh requests while the
-         pending queue sits at or above the watermark — before signature
-         verification, so backpressure costs no crypto. The Busy_msg names
-         the request so the shared retransmit path can retry it. *)
-      t.params.admission_queue > 0
-      && is_primary t
-      && Hashtbl.length t.requests >= t.params.admission_queue
-      && not (Hashtbl.mem t.requests h)
-    then begin
-      Obs.incr t.ctr.c_load_rejected;
-      update_queue_gauge t;
-      if Obs.tracing_enabled t.obs then
-        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
-          ~args:[ ("proc", req.Request.proc) ]
-          ();
-      send_to_client t req.Request.client_pk
-        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = hd })
-    end
-    else if not (Hashtbl.mem t.requests h) then begin
-      let admit ok =
-        if ok && not (Hashtbl.mem t.requests h) then begin
-          add_pending t req hd;
-          if is_primary t then Obs.incr t.ctr.c_load_admitted;
+    match Hashtbl.find_opt t.executed_requests h with
+    | Some seqno -> resend_executed t req ~seqno hd
+    | None ->
+        if
+          (* Admission control (primary only): shed fresh requests while the
+             pending queue sits at or above the watermark — before signature
+             verification, so backpressure costs no crypto. The Busy_msg names
+             the request so the shared retransmit path can retry it. *)
+          t.params.admission_queue > 0
+          && is_primary t
+          && Hashtbl.length t.requests >= t.params.admission_queue
+          && not (Hashtbl.mem t.requests h)
+        then begin
+          Obs.incr t.ctr.c_load_rejected;
           update_queue_gauge t;
           if Obs.tracing_enabled t.obs then
-            Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
+            Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
               ~args:[ ("proc", req.Request.proc) ]
               ();
-          if is_primary t then arm_batch_timer t;
-          try_process_pending t
+          send_to_client t req.Request.client_pk
+            (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = hd })
         end
-      in
-      if t.params.variant.Variant.verify_client_sigs then begin
-        (* The paper's dominant cost: one client-key verification per
-           request, unamortized by batching — exactly what the verify
-           stage's cache (retransmits carry identical signatures) and
-           domain pool attack. The service check stays synchronous. *)
-        if not (D.equal req.Request.service t.service) then admit false
-        else begin
-          Obs.incr t.ctr.c_sigs_verified;
-          let payload =
-            Request.signing_payload ~proc:req.Request.proc ~args:req.Request.args
-              ~client_pk:req.Request.client_pk ~service:req.Request.service
-              ~min_index:req.Request.min_index ~client_seqno:req.Request.client_seqno
+        else if not (Hashtbl.mem t.requests h) then begin
+          let admit ok =
+            if ok && not (Hashtbl.mem t.requests h) then begin
+              add_pending t p;
+              if is_primary t then Obs.incr t.ctr.c_load_admitted;
+              update_queue_gauge t;
+              if Obs.tracing_enabled t.obs then
+                Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
+                  ~args:[ ("proc", req.Request.proc) ]
+                  ();
+              if is_primary t then arm_batch_timer t;
+              try_process_pending t
+            end
           in
-          Vstage.submit t.vstage ~cls:"request" ~principal:Profile.Client_key
-            req.Request.client_pk (D.to_raw payload)
-            ~signature:req.Request.signature admit
+          if t.params.variant.Variant.verify_client_sigs then begin
+            (* The paper's dominant cost: one client-key verification per
+               request, unamortized by batching — exactly what the verify
+               stage's cache (retransmits carry identical signatures) and
+               domain pool attack. The service check stays synchronous. *)
+            if not (D.equal req.Request.service t.service) then admit false
+            else begin
+              Obs.incr t.ctr.c_sigs_verified;
+              let payload =
+                Request.signing_payload ~proc:req.Request.proc ~args:req.Request.args
+                  ~client_pk:req.Request.client_pk ~service:req.Request.service
+                  ~min_index:req.Request.min_index ~client_seqno:req.Request.client_seqno
+              in
+              Vstage.submit t.vstage ~cls:"request" ~principal:Profile.Client_key
+                req.Request.client_pk (D.to_raw payload)
+                ~signature:req.Request.signature admit
+            end
+          end
+          else admit true
         end
-      end
-      else admit true
-    end
   end
 
 and on_prepare t (p : Message.prepare) =
@@ -1710,8 +1777,8 @@ and on_commit t (c : Message.commit) =
             (fun _ -> ())
       | None -> ()
     end;
-    Hashtbl.replace (sub_tbl t.commits (c.Message.c_view, c.Message.c_seqno))
-      c.Message.c_replica c.Message.c_nonce;
+    store_nonce t ~view:c.Message.c_view ~seqno:c.Message.c_seqno c.Message.c_replica
+      c.Message.c_nonce;
     check_committed t;
     try_send_pre_prepares t
   end
@@ -1746,17 +1813,17 @@ and rollback_to t target =
           trace_batch_cancelled t rec_;
           Hashtbl.replace t.archived_content
             (q, (rec_.br_pp.Message.g_root :> string))
-            (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs);
-          List.iter
-            (fun (req : Request.t) ->
-              let hd = Request.hash req in
+            (content_of_record rec_);
+          List.iter2
+            (fun (tx : Batch.tx_entry) hd ->
               let h = D.to_raw hd in
               Hashtbl.remove t.executed_requests h;
               (* Back in the pending pool: it will be proposed (and
                  counted committed) again, so count the re-admission to
                  keep requests_committed <= requests_received. *)
-              if not (Hashtbl.mem t.requests h) then add_pending t req hd)
-            rec_.br_requests;
+              if not (Hashtbl.mem t.requests h) then
+                add_pending t (pending_of tx.Batch.request))
+            rec_.br_txs rec_.br_digests;
           Hashtbl.remove t.records q;
           Hashtbl.remove t.batch_ledger_end q
       | None -> Hashtbl.remove t.batch_ledger_end q
@@ -1896,9 +1963,8 @@ and maybe_new_view t =
         match (Hashtbl.find_opt t.records q, Hashtbl.find_opt best q) with
         | Some rec_, Some pp
           when D.equal rec_.br_pp.Message.g_root pp.Message.g_root ->
-            Some (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs)
-        | Some rec_, None when q <= t.last_committed ->
-            Some (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs)
+            Some (content_of_record rec_)
+        | Some rec_, None when q <= t.last_committed -> Some (content_of_record rec_)
         | Some _, None -> None
         | (Some _ | None), Some pp ->
             Hashtbl.find_opt t.archived_content (q, (pp.Message.g_root :> string))
@@ -1960,11 +2026,12 @@ and maybe_new_view t =
         (* Re-propose the prepared batches in the new view (Alg. 2 line 17),
            then resume normal batching. *)
         List.iter
-          (fun (kind, reqs, txs) ->
+          (fun c ->
             match evidence_for t (t.seqno - t.params.pipeline) with
             | Some (ev_prepares, ev_nonces, ev_bitmap) ->
-                emit_batch t ~fixed_txs:txs ~kind ~reqs ~ev_prepares ~ev_nonces
-                  ~ev_bitmap ()
+                emit_batch t ~fixed:c ~kind:c.c_kind
+                  ~reqs:(List.combine c.c_digests (requests_of c.c_txs))
+                  ~ev_prepares ~ev_nonces ~ev_bitmap ()
             | None -> ())
           saved;
         try_send_pre_prepares t
@@ -2236,6 +2303,7 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
         staged_ev := [];
         let s = pp.Message.seqno in
         let skip_exec = s <= skip_exec_upto in
+        let pph = lazy (Message.pp_hash pp) in
         (* Checkpoint-based bootstrap (§3.4): entries up to the installed
            checkpoint are adopted without re-execution; only checkpoint
            batches' signatures are verified, plus the Merkle chain below. *)
@@ -2244,26 +2312,35 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
           | (Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _)
             when skip_exec ->
               true
-          | _ -> verify_pp_sig t pp
+          | _ -> verify_pp_hashed t pp (Lazy.force pph)
+        in
+        (* Each replayed request is hashed once, for its digest and, from
+           the same midstate, its G leaf. *)
+        let hashed () =
+          List.split
+            (List.map
+               (fun (tx : Batch.tx_entry) ->
+                 let d, mid = Request.hash_and_midstate tx.Batch.request in
+                 (d, Batch.tx_leaf_from mid tx))
+               recorded)
         in
         if s <> t.seqno || not sig_ok then aborted := true
         else if skip_exec then begin
           (* Adopt verbatim: ledger, Merkle chain, and bookkeeping move; the
              key-value store comes from the checkpoint instead. *)
           List.iter (append_ledger t) evidence;
+          let digests, leaves = hashed () in
           if
             (not (D.equal (m_root_now t) pp.Message.m_root))
-            || not (D.equal (Batch.g_root recorded) pp.Message.g_root)
+            || not (D.equal (Tree.root_of_leaves leaves) pp.Message.g_root)
           then aborted := true
           else begin
             append_ledger t (Entry.Pre_prepare pp);
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
+            List.iter2
+              (fun tx d ->
                 append_ledger t (Entry.Tx tx);
-                Hashtbl.replace t.executed_requests
-                  (D.to_raw (Request.hash tx.Batch.request))
-                  tx.Batch.index)
-              recorded;
+                Hashtbl.replace t.executed_requests (D.to_raw d) s)
+              recorded digests;
             advance_indices t pp recorded;
             Hashtbl.replace t.batch_ledger_end s (ledger_len t);
             t.seqno <- s + 1;
@@ -2283,18 +2360,20 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
                   store_nonces t ~view:ne_view ~seqno:ne_seqno ne_nonces
               | _ -> ())
             evidence;
-          let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) recorded in
-          let before, executed, writes = execute_batch t ~evidence reqs in
+          let before, executed, writes =
+            execute_batch t ~evidence (requests_of recorded)
+          in
+          let digests, leaves = hashed () in
           (* Indices are adopted from the recorded entries (they are bound by
              the signed g_root and may be lower than the physical position if
              the batch was re-proposed after a view change). *)
           if
             same_results executed recorded
-            && D.equal (Batch.g_root recorded) pp.Message.g_root
+            && D.equal (Tree.root_of_leaves leaves) pp.Message.g_root
             && D.equal (m_root_now t) pp.Message.m_root
           then begin
-            adopt_batch t Replayed ~before ~writes ~reqs ~ev_prepares:[] ~ev_nonces:[]
-              pp recorded;
+            adopt_batch t Replayed ~before ~writes ~digests ~leaves ~ev_prepares:[]
+              ~ev_nonces:[] pp (Lazy.force pph) recorded;
             note_prepared_pp t pp;
             index_batch_writes t s;
             adopted_committed pp
@@ -2586,20 +2665,23 @@ and on_batch_package t (bp : Wire.batch_package) =
   if t.running && t.activated then begin
     (* Adopt the requests and evidence; the buffered pre-prepare (or this
        package applied directly if we are the one behind) can then proceed. *)
-    List.iter
-      (fun (req : Request.t) ->
-        let hd = Request.hash req in
-        let h = D.to_raw hd in
-        if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
-        then add_pending t req hd)
-      bp.Wire.bp_requests;
+    let batch =
+      List.map
+        (fun req ->
+          let p = pending_of req in
+          let h = D.to_raw p.p_digest in
+          if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
+          then add_pending t p;
+          p.p_digest)
+        bp.Wire.bp_requests
+    in
     store_package_evidence t bp;
     if
       bp.Wire.bp_pp.Message.seqno = t.seqno
       && not (Hashtbl.mem t.pending_pps t.seqno)
     then
       Hashtbl.replace t.pending_pps t.seqno
-        (bp.Wire.bp_pp, List.map Request.hash bp.Wire.bp_requests);
+        (bp.Wire.bp_pp, Message.pp_hash bp.Wire.bp_pp, batch);
     try_process_pending t;
     check_prepared t
   end
@@ -2754,24 +2836,22 @@ let on_message t ~src msg =
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
     | Wire.Replyx_request { rr_seqno; rr_tx_hash } ->
         (* The client may not know which batch its transaction landed in;
-           check the hinted seqno first, then search by request hash. *)
-        let wanted (tx : Batch.tx_entry) =
-          D.equal (Request.hash tx.Batch.request) rr_tx_hash
+           check the hinted seqno first, then the batch that executed it. *)
+        let answer_from s =
+          match Hashtbl.find_opt t.records s with
+          | Some rec_
+            when rec_.br_committed && List.exists (D.equal rr_tx_hash) rec_.br_digests ->
+              replyx_each rec_
+                ~wanted:(fun d _ -> D.equal d rr_tx_hash)
+                (fun _ msg -> send t ~dst:src msg);
+              true
+          | Some _ | None -> false
         in
-        let answer_from rec_ =
-          rec_.br_committed
-          && (replyx_each rec_ ~wanted (fun _ msg -> send t ~dst:src msg);
-              List.exists wanted rec_.br_txs)
-        in
-        let found =
-          match Hashtbl.find_opt t.records rr_seqno with
-          | Some rec_ -> answer_from rec_
-          | None -> false
-        in
-        if not found then
-          Hashtbl.iter
-            (fun s rec_ -> if s <> rr_seqno then ignore (answer_from rec_))
-            t.records
+        if not (answer_from rr_seqno) then begin
+          match Hashtbl.find_opt t.executed_requests (D.to_raw rr_tx_hash) with
+          | Some s when s <> rr_seqno -> ignore (answer_from s)
+          | Some _ | None -> ()
+        end
     | Wire.Gov_receipts_request { gr_from_index } ->
         let receipts =
           List.filter

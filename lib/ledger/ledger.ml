@@ -6,7 +6,7 @@ module D = Iaccf_crypto.Digest32
 type slot = { entry : Entry.t; m_size_after : int; bytes : int }
 
 type sink = {
-  sink_append : int -> Entry.t -> unit;
+  sink_append : int -> Entry.t -> encoded:string -> leaf:D.t option -> unit;
   sink_truncate : int -> unit;
 }
 
@@ -19,13 +19,17 @@ type t = {
 
 let set_sink t sink = t.sink <- sink
 
+(* The entry is serialized once here: its size, its M leaf and the
+   sink's frame all come from these bytes. *)
 let push t entry =
-  let bytes = Entry.size_bytes entry in
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_digest entry);
+  let encoded = Entry.serialize entry in
+  let bytes = String.length encoded in
+  let leaf = if Entry.in_merkle_tree entry then Some (D.of_string encoded) else None in
+  Option.iter (Tree.append t.tree) leaf;
   Vec.push t.slots { entry; m_size_after = Tree.size t.tree; bytes };
   t.byte_total <- t.byte_total + bytes;
   let index = Vec.length t.slots - 1 in
-  (match t.sink with Some s -> s.sink_append index entry | None -> ());
+  (match t.sink with Some s -> s.sink_append index entry ~encoded ~leaf | None -> ());
   index
 
 let create genesis =

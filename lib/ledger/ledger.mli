@@ -9,7 +9,10 @@
 type t
 
 type sink = {
-  sink_append : int -> Entry.t -> unit;  (** called with the new index *)
+  sink_append :
+    int -> Entry.t -> encoded:string -> leaf:Iaccf_crypto.Digest32.t option -> unit;
+      (** called with the new index, the entry's {!Entry.serialize} bytes
+          and, for an M-bound entry, its {!Entry.leaf_digest} *)
   sink_truncate : int -> unit;  (** called with the new length *)
 }
 (** A write-through backend (e.g. the durable segmented store): notified

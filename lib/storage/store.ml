@@ -175,8 +175,11 @@ let decode_prune s =
 (* ------------------------------------------------------------------ *)
 (* Open + recovery                                                     *)
 
-let append_slot t ~seg ~off ~len entry =
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_digest entry);
+let leaf_of entry =
+  if Entry.in_merkle_tree entry then Some (Entry.leaf_digest entry) else None
+
+let append_slot t ~seg ~off ~len leaf =
+  Option.iter (Tree.append t.tree) leaf;
   Vec.push t.slots { s_seg = seg; s_off = off; s_len = len; s_msize = Tree.size t.tree };
   t.disk <- t.disk + len
 
@@ -218,7 +221,7 @@ let scan_segment t ~seg ~tail data =
     | Frame.Frame { payload; next } -> (
         match Entry.deserialize payload with
         | entry ->
-            append_slot t ~seg ~off ~len:(next - off) entry;
+            append_slot t ~seg ~off ~len:(next - off) (leaf_of entry);
             go next
         | exception Codec.Decode_error m ->
             if tail then (off, total - off)
@@ -414,16 +417,18 @@ let roll_segment t =
   open_tail_fd t ~first:(length t) ~size:0;
   t.seg_count <- t.seg_count + 1
 
-let append t entry =
+(* [encoded] is [Entry.serialize entry] and [leaf] its M leaf when it has
+   one, as the ledger already computed them. *)
+let append_encoded t entry ~encoded ~leaf =
   check_rw t "append";
-  let frame = Frame.encode (Entry.serialize entry) in
+  let frame = Frame.encode encoded in
   let len = String.length frame in
   if t.tail_fd = None || (t.tail_size > 0 && t.tail_size + len > t.cfg.segment_bytes)
   then roll_segment t;
   let fd = Option.get t.tail_fd in
   write_all fd frame;
   let index = length t in
-  append_slot t ~seg:t.tail_first ~off:t.tail_size ~len entry;
+  append_slot t ~seg:t.tail_first ~off:t.tail_size ~len leaf;
   t.tail_size <- t.tail_size + len;
   Lru.put t.cache index entry;
   Obs.incr t.c_appends;
@@ -438,6 +443,11 @@ let append t entry =
   | Fsync_interval n when t.unsynced >= n -> sync t
   | Fsync_interval _ | No_fsync -> ());
   index
+
+let append t entry =
+  let encoded = Entry.serialize entry in
+  let leaf = if Entry.in_merkle_tree entry then Some (D.of_string encoded) else None in
+  append_encoded t entry ~encoded ~leaf
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
@@ -666,8 +676,8 @@ let attach ?(allow_rollback = false) t ledger =
     (Some
        {
          Ledger.sink_append =
-           (fun i entry ->
-             let j = append t entry in
+           (fun i entry ~encoded ~leaf ->
+             let j = append_encoded t entry ~encoded ~leaf in
              (* The store must mirror the ledger index-for-index; drift means
                 the two histories no longer describe the same prefix. *)
              if i <> j then

@@ -40,11 +40,15 @@ let decode_kind r =
       Start_of_config { phase }
   | _ -> raise (Codec.Decode_error "invalid batch kind")
 
-let encode_tx_entry w t =
-  Request.encode w t.request;
+(* Everything of an entry's encoding after its request. *)
+let encode_tx_tail w t =
   Codec.W.u64 w t.index;
   Codec.W.bytes w t.result.output;
   Codec.W.raw w (D.to_raw t.result.write_set_hash)
+
+let encode_tx_entry w t =
+  Request.encode w t.request;
+  encode_tx_tail w t
 
 let decode_tx_entry r =
   let request = Request.decode r in
@@ -55,6 +59,11 @@ let decode_tx_entry r =
 
 let serialize_tx_entry t = Codec.encode (fun w -> encode_tx_entry w t)
 let tx_leaf t = D.of_string (serialize_tx_entry t)
+
+let tx_leaf_from mid t =
+  let ctx = Iaccf_crypto.Sha256.resume mid in
+  Iaccf_crypto.Sha256.feed ctx (Codec.encode (fun w -> encode_tx_tail w t));
+  D.of_raw (Iaccf_crypto.Sha256.finalize ctx)
 
 let g_root entries =
   Iaccf_merkle.Tree.root_of_leaves (List.map tx_leaf entries)

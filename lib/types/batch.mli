@@ -28,6 +28,11 @@ type tx_entry = {
 val tx_leaf : tx_entry -> Iaccf_crypto.Digest32.t
 (** Leaf digest of a [<t, i, o>] entry in [G]. *)
 
+val tx_leaf_from : Iaccf_crypto.Sha256.snapshot -> tx_entry -> Iaccf_crypto.Digest32.t
+(** [tx_leaf_from mid t] is [tx_leaf t] when [mid] is the midstate of
+    [t.request] from {!Request.hash_and_midstate}: only the index, output
+    and write-set hash that follow the request are hashed. *)
+
 val g_root : tx_entry list -> Iaccf_crypto.Digest32.t
 (** Root of the per-batch tree over the entries in execution order. *)
 

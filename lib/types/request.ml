@@ -73,11 +73,18 @@ let serialize t = Codec.encode (fun w -> encode w t)
 let deserialize s = Codec.decode s decode
 let hash t = D.of_string (serialize t)
 
+let hash_and_midstate t =
+  let ctx = Iaccf_crypto.Sha256.init () in
+  Iaccf_crypto.Sha256.feed ctx (serialize t);
+  let mid = Iaccf_crypto.Sha256.snapshot ctx in
+  (D.of_raw (Iaccf_crypto.Sha256.finalize ctx), mid)
+
 (* Causal trace id: content-derived (a hash prefix), so every hop that
    holds the request — client, primary, backups — recovers the same id
    without any wire-format change. Collisions would need two distinct
    requests sharing 48 bits of SHA-256, which the trace tests bound. *)
-let trace_id t = String.sub (D.to_hex (hash t)) 0 12
+let trace_id_of_hash h = String.sub (D.to_hex h) 0 12
+let trace_id t = trace_id_of_hash (hash t)
 
 let pp ppf t =
   Format.fprintf ppf "request{%s;client_seq=%d;min_i=%d}" t.proc t.client_seqno

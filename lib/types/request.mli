@@ -44,6 +44,15 @@ val verify : t -> service:Iaccf_crypto.Digest32.t -> bool
 val hash : t -> Iaccf_crypto.Digest32.t
 (** Request digest, the handle used in pre-prepare batch lists [B]. *)
 
+val hash_and_midstate : t -> Iaccf_crypto.Digest32.t * Iaccf_crypto.Sha256.snapshot
+(** {!hash}, and the SHA-256 state after absorbing the serialized request.
+    A transaction entry's serialization starts with the request's, so its
+    leaf resumes from this state ({!Batch.tx_leaf_from}) instead of
+    hashing the request bytes again. *)
+
+val trace_id_of_hash : Iaccf_crypto.Digest32.t -> string
+(** {!trace_id} from an already computed {!hash}. *)
+
 val trace_id : t -> string
 (** Causal trace id: the first 12 hex chars of {!hash}. Content-derived, so
     every hop holding the request (client, primary, backups) recovers the

@@ -63,6 +63,31 @@ let prop_sha256_incremental_split =
       Sha256.feed ctx (String.sub s k (String.length s - k));
       Sha256.finalize ctx = Sha256.digest s)
 
+(* Resuming a snapshot taken after [a] and feeding [b] hashes [a ^ b],
+   for prefixes on every padding branch and block edge. *)
+let prop_sha256_snapshot_resume =
+  QCheck.Test.make ~name:"snapshot resume matches one-shot digest" ~count:100
+    QCheck.(pair (oneofl [ 0; 55; 56; 63; 64; 65; 4096 ]) string)
+    (fun (k, b) ->
+      let a = String.init k (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let ctx = Sha256.init () in
+      Sha256.feed ctx a;
+      let snap = Sha256.snapshot ctx in
+      let resumed () =
+        let c = Sha256.resume snap in
+        Sha256.feed c b;
+        Sha256.finalize c
+      in
+      let first = resumed () in
+      first = Sha256.digest (a ^ b)
+      && resumed () = first
+      && Sha256.finalize ctx = Sha256.digest a)
+
+let test_sha256_block_counter () =
+  let before = Sha256.blocks_compressed () in
+  ignore (Sha256.digest (String.make 119 'x'));
+  check Alcotest.int "119 bytes pad to two blocks" 2 (Sha256.blocks_compressed () - before)
+
 (* --- HMAC-SHA256 against RFC 4231 vectors --- *)
 
 let test_hmac_rfc4231 () =
@@ -724,6 +749,8 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           qtest prop_sha256_incremental_split;
+          qtest prop_sha256_snapshot_resume;
+          Alcotest.test_case "block counter" `Quick test_sha256_block_counter;
         ] );
       ( "hmac",
         [

@@ -300,6 +300,60 @@ let test_nonreceipt_variant_runs () =
   in
   check Alcotest.bool "commits without receipts" true ok
 
+(* A client whose replies were all lost retransmits a request that
+   executed long ago: every replica answers from the batch that executed
+   it, found through the executed-request index, with its reply, and the
+   replyx carries that transaction. *)
+let test_retransmit_executed_after_many_batches () =
+  let cluster = Cluster.make ~n:4 () in
+  let net = Cluster.network cluster in
+  let service = Iaccf_types.Genesis.hash (Cluster.genesis cluster) in
+  let sk, pk = Iaccf_crypto.Schnorr.keypair_of_seed "retransmitter" in
+  let addr = Cluster.reserve_address cluster in
+  Cluster.bind_client_pk cluster pk ~addr;
+  let replies = ref [] and replyxs = ref [] in
+  Iaccf_sim.Network.register net addr (fun ~src msg ->
+      match msg with
+      | Wire.Reply_msg r -> replies := (src, r.Message.r_seqno) :: !replies
+      | Wire.Replyx_msg x -> replyxs := x :: !replyxs
+      | _ -> ());
+  let req =
+    Iaccf_types.Request.make ~sk ~client_pk:pk ~service ~proc:"noop" ~args:"first" ()
+  in
+  let send () =
+    List.iter
+      (fun r -> Iaccf_sim.Network.send net ~src:addr ~dst:(Replica.id r) (Wire.Request_msg req))
+      (Cluster.replicas cluster)
+  in
+  send ();
+  let r0 = Cluster.replica cluster 0 in
+  let committed () = (Replica.stats r0).Replica.txs_committed >= 1 in
+  check Alcotest.bool "first request committed" true
+    (Cluster.run_until cluster (fun () -> committed () && !replyxs <> []));
+  let seqno = (List.hd !replyxs).Message.x_pp.Message.seqno in
+  let client = Cluster.add_client cluster () in
+  for _ = 1 to 50 do
+    ignore (submit_and_wait cluster client 1)
+  done;
+  check Alcotest.bool "50 more batches committed" true
+    (Replica.last_committed r0 >= seqno + 50);
+  replies := [];
+  replyxs := [];
+  send ();
+  check Alcotest.bool "every replica resends its reply" true
+    (Cluster.run_until cluster (fun () -> List.length !replies >= 4));
+  List.iter
+    (fun (_, s) -> check Alcotest.int "reply names the executing batch" seqno s)
+    !replies;
+  match !replyxs with
+  | [] -> Alcotest.fail "no replyx for the retransmitted request"
+  | xs ->
+      List.iter
+        (fun (x : Message.replyx) ->
+          check Alcotest.string "replyx carries the request" "first"
+            x.Message.x_tx.Iaccf_types.Batch.request.Iaccf_types.Request.args)
+        xs
+
 let test_min_index_ordering () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
@@ -327,6 +381,8 @@ let () =
           Alcotest.test_case "multiple clients" `Quick test_multiple_clients;
           Alcotest.test_case "seven replicas" `Quick test_seven_replicas;
           Alcotest.test_case "min-index ordering" `Quick test_min_index_ordering;
+          Alcotest.test_case "executed request retransmitted after 50 batches" `Quick
+            test_retransmit_executed_after_many_batches;
         ] );
       ( "faults",
         [

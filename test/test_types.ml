@@ -189,6 +189,46 @@ let test_tx_entry_roundtrip () =
   check Alcotest.string "identical bytes" enc (Batch.serialize_tx_entry tx');
   check Alcotest.bool "same leaf" true (D.equal (Batch.tx_leaf tx) (Batch.tx_leaf tx'))
 
+(* A transaction leaf resumed from its request's midstate is the leaf
+   of the whole entry, for empty, small and 4 KiB arguments. *)
+let prop_tx_leaf_from_midstate =
+  let gen =
+    QCheck.Gen.(
+      let* args_len = oneof [ return 0; return 4096; int_bound 300 ] in
+      let* args = string_size ~gen:char (return args_len) in
+      let* proc = string_size ~gen:printable (int_bound 12) in
+      let* output = string_size ~gen:char (int_bound 200) in
+      let* index = int_bound 1_000_000 in
+      let* seqno = int_bound 1000 in
+      return (proc, args, output, index, seqno))
+  in
+  QCheck.Test.make ~name:"tx leaf from the request midstate = tx_leaf" ~count:60
+    (QCheck.make gen)
+    (fun (proc, args, output, index, client_seqno) ->
+      let _, pk = Schnorr.keypair_of_seed "client" in
+      let request =
+        {
+          Request.proc;
+          args;
+          client_pk = pk;
+          service;
+          min_index = index / 2;
+          client_seqno;
+          signature = String.make 64 's';
+        }
+      in
+      let tx =
+        {
+          Batch.request;
+          index;
+          result = { Batch.output; write_set_hash = D.of_string output };
+        }
+      in
+      let digest, mid = Request.hash_and_midstate request in
+      D.equal digest (Request.hash request)
+      && D.equal (Batch.tx_leaf_from mid tx) (Batch.tx_leaf tx)
+      && D.equal (Batch.tx_leaf_from mid tx) (Batch.tx_leaf tx))
+
 let test_g_root_order_sensitive () =
   let tx i =
     {
@@ -336,6 +376,7 @@ let () =
           qtest prop_kind_roundtrip;
           Alcotest.test_case "tx entry roundtrip" `Quick test_tx_entry_roundtrip;
           Alcotest.test_case "g_root order" `Quick test_g_root_order_sensitive;
+          qtest prop_tx_leaf_from_midstate;
         ] );
       ( "messages",
         [
