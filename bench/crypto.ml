@@ -19,7 +19,10 @@
    Per-layer rows (series "layers", Info) time the costs underneath:
    field mul and sqr, SHA-256 of 64 bytes, SHA-256 throughput over a
    1 MiB buffer, sign, and verify with and without a fixed-base table,
-   each the median of 7 timed loops.
+   each the median of 7 timed loops. The SHA-256 rows use the kernel
+   this CPU selected (named in the file's "sha256_kernel" field);
+   sha256_ocaml_MBps times the portable OCaml kernel, the fallback, on
+   the same buffer.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
    deterministic counts gate Exact, wall-clock throughputs are Info. Not
@@ -230,10 +233,15 @@ let layer_rows () =
   let block = String.make 64 'x' in
   let sha = ns_per_op ~iters:20_000 (fun _ -> ignore (Sha256.digest block)) in
   let mib = String.make (1 lsl 20) 'x' in
-  let sha_mbps =
-    float_of_int (String.length mib)
-    /. ns_per_op ~iters:4 (fun _ -> ignore (Sha256.digest mib))
-    *. 1e3
+  let mbps digest =
+    float_of_int (String.length mib) /. ns_per_op ~iters:4 (fun _ -> ignore (digest mib)) *. 1e3
+  in
+  let sha_mbps = mbps Sha256.digest in
+  let sha_ocaml_mbps =
+    mbps (fun s ->
+        let ctx = Sha256.Kernel.init Sha256.Kernel.ocaml_blocks in
+        Sha256.feed ctx s;
+        Sha256.finalize ctx)
   in
   let sk, pk = Schnorr.keypair_of_seed "layers" in
   let digests = Array.init 64 (fun i -> Sha256.digest (string_of_int i)) in
@@ -253,8 +261,10 @@ let layer_rows () =
   Schnorr.precompute pk;
   let tabled = verify () in
   Printf.printf "crypto-bench layers (median of 7 trials)\n";
-  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns   sha256/64B %8.1f ns   sha256 %6.1f MB/s\n"
-    fe_mul fe_sqr sha sha_mbps;
+  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns\n" fe_mul fe_sqr;
+  Printf.printf "  sha256 (%s) /64B %8.1f ns   %6.1f MB/s   ocaml kernel %6.1f MB/s\n"
+    (Sha256.Kernel.name Sha256.Kernel.selected)
+    sha sha_mbps sha_ocaml_mbps;
   Printf.printf "  sign %8.1f us   verify untabled %8.1f us   tabled %8.1f us\n%!"
     sign untabled tabled;
   let info metric v = Report.row ~bench:"crypto" ~series:"layers" ~metric ~gate:Report.Info v in
@@ -263,6 +273,7 @@ let layer_rows () =
     info "fe_sqr_ns" fe_sqr;
     info "sha256_64B_ns" sha;
     info "sha256_MBps" sha_mbps;
+    info "sha256_ocaml_MBps" sha_ocaml_mbps;
     info "sign_us" sign;
     info "verify_untabled_us" untabled;
     info "verify_tabled_us" tabled;
@@ -272,4 +283,6 @@ let () =
   let pipeline = pipeline_rows () in
   let components = component_rows () in
   let rows = pipeline @ components @ layer_rows () in
-  Report.write_rows ~file:"BENCH_crypto.json" ~bench:"crypto" rows
+  Report.write_rows ~file:"BENCH_crypto.json" ~bench:"crypto"
+    ~meta:[ ("sha256_kernel", Sha256.Kernel.name Sha256.Kernel.selected) ]
+    rows

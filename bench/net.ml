@@ -124,26 +124,34 @@ let run_sockets () =
       ~serve_argv:(fun ~id ->
         [| Sys.executable_name; "__serve"; mfile; string_of_int id |])
   in
-  let cleanup () =
-    ignore (Supervisor.shutdown children);
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  if not (Supervisor.wait_ready m) then begin
-    Printf.eprintf "FAIL: socket fleet not ready (see %s/replica-*.log)\n%!" dir;
+  (* A failed run keeps its directory (manifest, replica logs and
+     metrics) as evidence; only a good run removes it. Either way the
+     fleet is shut down first: [exit] does not unwind, so nothing after
+     it would run. *)
+  let shutdown () = ignore (Supervisor.shutdown children) in
+  let fail msg =
+    shutdown ();
+    Printf.eprintf "FAIL: %s; run dir kept: %s\n%!" msg dir;
     exit 1
-  end;
-  let h = Driver.connect m in
-  let outcome = Driver.run_smallbank ~concurrency ~total h ~seed () in
-  Driver.close h;
+  in
+  let outcome =
+    try
+      if not (Supervisor.wait_ready m) then
+        fail "socket fleet not ready (see replica-*.log)";
+      let h = Driver.connect m in
+      let outcome = Driver.run_smallbank ~concurrency ~total h ~seed () in
+      Driver.close h;
+      outcome
+    with e -> fail (Printexc.to_string e)
+  in
   match outcome with
-  | Error e ->
-      Printf.eprintf "FAIL: socket fleet: %s\n%!" e;
-      exit 1
+  | Error e -> fail ("socket fleet: " ^ e)
   | Ok r ->
+      shutdown ();
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       {
         committed = r.Driver.r_completed;
         wall_s = r.Driver.r_wall_s;

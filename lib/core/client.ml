@@ -202,18 +202,22 @@ let rec arm_retry t p =
     (Sched.schedule t.sched ~delay:t.retry_ms (fun () ->
          if (not p.p_done) && Hashtbl.mem t.pending (D.to_raw p.p_hash) then begin
            p.p_retries <- p.p_retries + 1;
-           (match Sys.getenv_opt "IACCF_DEBUG_CLIENT" with
-           | Some _ when p.p_retries mod 50 = 0 ->
-               Printf.eprintf "CLIENT retry#%d tx=%s replyx=%b replies=%s\n%!"
-                 p.p_retries
-                 (String.sub (D.to_hex p.p_hash) 0 8)
-                 (p.p_replyx <> None)
-                 (String.concat ";"
-                    (Hashtbl.fold
-                       (fun (v, s) tbl acc ->
-                         Printf.sprintf "(v%d,s%d:%d)" v s (Hashtbl.length tbl) :: acc)
-                       p.p_replies []))
-           | _ -> ());
+           if Obs.tracing_enabled t.obs then
+             Obs.instant t.obs ~node:t.addr ~cat:"request" ~name:"client.retry"
+               ~id:(Request.trace_id_of_hash p.p_hash)
+               ~args:
+                 [
+                   ("retry", string_of_int p.p_retries);
+                   ("replyx", string_of_bool (p.p_replyx <> None));
+                   (* buffered replies per batch: (view, seqno):count *)
+                   ( "replies",
+                     String.concat ";"
+                       (Hashtbl.fold
+                          (fun (v, s) tbl acc ->
+                            Printf.sprintf "(v%d,s%d):%d" v s (Hashtbl.length tbl) :: acc)
+                          p.p_replies []) );
+                 ]
+               ();
            (* A reply names a batch, not a request, so buffered replies may
               all belong to other batches of ours: a replyx request alone
               cannot revive a request the replicas never admitted (or

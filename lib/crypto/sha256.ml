@@ -1,6 +1,9 @@
-(* SHA-256 over plain OCaml ints: words are kept in the low 32 bits of a
-   63-bit int and masked where they are stored. This avoids boxed Int32
-   operations in the compression loop. *)
+(* SHA-256. Whole 64-byte blocks go to one of two kernels, chosen once
+   from CPUID when the module initialises: the SHA-NI stub in
+   sha256_stubs.c where the CPU has the SHA extensions, else the portable
+   OCaml kernel below. The OCaml kernel keeps words in the low 32 bits of
+   a 63-bit int and masks them where they are stored, which avoids boxed
+   Int32 operations. *)
 
 let mask = 0xFFFFFFFF
 
@@ -19,15 +22,101 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+(* [x] twice over: bits [n, n + 32) of [dup x] are [x] rotated right by
+   [n], for every [n <= 30] (bit 63 falls off the 63-bit int unused), so a
+   rotation is one shift. The junk left above bit 32 never reaches a
+   stored word: every store is masked, and the low 32 bits of sums and
+   xors depend only on the low 32 bits of their operands (overflow
+   included). *)
+let dup x = x lor (x lsl 32)
+
+(* The portable kernel: compress the [n] 64-byte blocks of [s] from [off]
+   into the chaining words [h]. The schedule [w] is local to the call, so
+   calls on other domains share nothing. [w] and the round constants [k]
+   have 64 entries each, so the loops index them unchecked. *)
+let ocaml_blocks h s off n =
+  let w = Array.make 64 0 in
+  for blk = 0 to n - 1 do
+    let off = off + (64 * blk) in
+    for i = 0 to 15 do
+      Array.unsafe_set w i
+        (Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask)
+    done;
+    for i = 16 to 63 do
+      let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+      let x15 = dup w15 and x2 = dup w2 in
+      let s0 = (x15 lsr 7) lxor (x15 lsr 18) lxor (w15 lsr 3) in
+      let s1 = (x2 lsr 17) lxor (x2 lsr 19) lxor (w2 lsr 10) in
+      Array.unsafe_set w i
+        ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
+    done;
+    let a = ref h.(0)
+    and b = ref h.(1)
+    and c = ref h.(2)
+    and d = ref h.(3)
+    and e = ref h.(4)
+    and f = ref h.(5)
+    and g = ref h.(6)
+    and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let xe = dup !e and xa = dup !a in
+      let s1 = (xe lsr 6) lxor (xe lsr 11) lxor (xe lsr 25) in
+      let ch = !g lxor (!e land (!f lxor !g)) in
+      let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+      let s0 = (xa lsr 2) lxor (xa lsr 13) lxor (xa lsr 22) in
+      let maj = (!a land !b) lor (!c land (!a lor !b)) in
+      let temp2 = s0 + maj in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + temp1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (temp1 + temp2) land mask
+    done;
+    h.(0) <- (h.(0) + !a) land mask;
+    h.(1) <- (h.(1) + !b) land mask;
+    h.(2) <- (h.(2) + !c) land mask;
+    h.(3) <- (h.(3) + !d) land mask;
+    h.(4) <- (h.(4) + !e) land mask;
+    h.(5) <- (h.(5) + !f) land mask;
+    h.(6) <- (h.(6) + !g) land mask;
+    h.(7) <- (h.(7) + !hh) land mask
+  done
+
+(* The SHA-NI kernel, same contract. The stub reads and writes [h] in
+   place, never allocates and keeps the runtime lock, so verify-pool
+   domains can call it. *)
+external has_sha_ni : unit -> bool = "caml_iaccf_sha256_has_sha_ni" [@@noalloc]
+
+external ni_blocks : int array -> string -> int -> int -> unit
+  = "caml_iaccf_sha256_ni_blocks"
+[@@noalloc]
+
+(* The kernels; the module exported as [Kernel] adds [init] and [resume]
+   below. *)
+module K = struct
+  type t = { name : string; blocks : int array -> string -> int -> int -> unit }
+
+  let ocaml_blocks = { name = "ocaml"; blocks = ocaml_blocks }
+  let native_blocks = { name = "sha-ni"; blocks = ni_blocks }
+  let native_available = has_sha_ni ()
+  let selected = if native_available then native_blocks else ocaml_blocks
+  let name k = k.name
+end
+
 type ctx = {
   h : int array; (* 8 state words *)
   block : Bytes.t; (* 64-byte block buffer *)
   mutable block_len : int;
   mutable total_len : int; (* bytes fed so far *)
-  w : int array; (* 64-word message schedule scratch *)
+  blocks_of : int array -> string -> int -> int -> unit; (* the kernel *)
 }
 
-let init () =
+let make (kernel : K.t) =
+  if kernel == K.native_blocks && not K.native_available then
+    invalid_arg "Sha256.Kernel: this CPU has no SHA extensions";
   {
     h =
       [|
@@ -37,79 +126,24 @@ let init () =
     block = Bytes.create 64;
     block_len = 0;
     total_len = 0;
-    w = Array.make 64 0;
+    blocks_of = kernel.blocks;
   }
 
-(* [x] twice over: bits [n, n + 32) of [dup x] are [x] rotated right by
-   [n], for every [n <= 30] (bit 63 falls off the 63-bit int unused), so a
-   rotation is one shift. The junk left above bit 32 never reaches a
-   stored word: every store is masked, and the low 32 bits of sums and
-   xors depend only on the low 32 bits of their operands (overflow
-   included). *)
-let dup x = x lor (x lsl 32)
+let init () = make K.selected
 
 (* Blocks compressed by every context in the process, for hashing-budget
-   tests. Atomic because the verify pool hashes on other domains; one
-   increment costs about a nanosecond against ~850 ns per block. *)
+   tests. Atomic because the verify pool hashes on other domains. *)
 let blocks = Atomic.make 0
 let blocks_compressed () = Atomic.get blocks
 
-(* Compress the 64-byte block of [s] at [off]. The schedule [w] and the
-   round constants [k] have 64 entries each, so the loops index them
-   unchecked. *)
-let compress ctx s off =
-  Atomic.incr blocks;
-  let w = ctx.w in
-  for i = 0 to 15 do
-    Array.unsafe_set w i
-      (Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask)
-  done;
-  for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let x15 = dup w15 and x2 = dup w2 in
-    let s0 = (x15 lsr 7) lxor (x15 lsr 18) lxor (w15 lsr 3) in
-    let s1 = (x2 lsr 17) lxor (x2 lsr 19) lxor (w2 lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let xe = dup !e and xa = dup !a in
-    let s1 = (xe lsr 6) lxor (xe lsr 11) lxor (xe lsr 25) in
-    let ch = !g lxor (!e land (!f lxor !g)) in
-    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 = (xa lsr 2) lxor (xa lsr 13) lxor (xa lsr 22) in
-    let maj = (!a land !b) lor (!c land (!a lor !b)) in
-    let temp2 = s0 + maj in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+(* Compress the [n] whole blocks of [s] at [off] in one kernel call. *)
+let compress ctx s off n =
+  ignore (Atomic.fetch_and_add blocks n);
+  ctx.blocks_of ctx.h s off n
 
 (* The buffered block, viewed as a string for [compress]; it is not
    mutated while the view is in use. *)
-let compress_buffered ctx = compress ctx (Bytes.unsafe_to_string ctx.block) 0
+let compress_buffered ctx = compress ctx (Bytes.unsafe_to_string ctx.block) 0 1
 
 let feed ctx s =
   let n = String.length s in
@@ -125,11 +159,13 @@ let feed ctx s =
       ctx.block_len <- 0
     end
   end;
-  (* Whole blocks straight from the input; only a tail is buffered. *)
-  while n - !pos >= 64 do
-    compress ctx s !pos;
-    pos := !pos + 64
-  done;
+  (* Whole blocks straight from the input, all in one call; only a tail
+     is buffered. *)
+  let whole = (n - !pos) / 64 in
+  if whole > 0 then begin
+    compress ctx s !pos whole;
+    pos := !pos + (64 * whole)
+  end;
   if !pos < n then begin
     Bytes.blit_string s !pos ctx.block ctx.block_len (n - !pos);
     ctx.block_len <- ctx.block_len + (n - !pos)
@@ -167,8 +203,8 @@ let snapshot ctx =
   Bytes.blit ctx.block 0 b 40 ctx.block_len;
   Bytes.unsafe_to_string b
 
-let resume s =
-  let ctx = init () in
+let resume_with kernel s =
+  let ctx = make kernel in
   for i = 0 to 7 do
     ctx.h.(i) <- Int32.to_int (String.get_int32_be s (4 * i)) land mask
   done;
@@ -176,6 +212,8 @@ let resume s =
   ctx.block_len <- String.length s - 40;
   Bytes.blit_string s 40 ctx.block 0 ctx.block_len;
   ctx
+
+let resume s = resume_with K.selected s
 
 let digest s =
   let ctx = init () in
@@ -186,3 +224,10 @@ let digest_concat parts =
   let ctx = init () in
   List.iter (feed ctx) parts;
   finalize ctx
+
+module Kernel = struct
+  include K
+
+  let init = make
+  let resume = resume_with
+end

@@ -113,20 +113,25 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let peer_of_conn t c =
   match c.peer_id with None -> None | Some id -> Hashtbl.find_opt t.peers id
 
+(* An endpoint has no address of its own (a driver's carries several
+   clients), so its trace instants go on the track of the peer they
+   concern: the replica id, or -1 for an accepted connection that has
+   not said who it is. *)
+let trace_net t ~peer ~name args =
+  Obs.instant t.obs ~node:peer ~cat:"net" ~name
+    ~args:(("peer", string_of_int peer) :: args)
+    ()
+
 (* Tear a connection down. Frames still queued on it are gone — count
    them against the peer rather than pretend they were sent. *)
-let debug_net =
-  match Sys.getenv_opt "IACCF_DEBUG_NET" with Some _ -> true | None -> false
-
 let kill_conn t c ~cause =
   if not c.dead then begin
     c.dead <- true;
     let lost = Queue.length c.outq in
     if lost > 0 then Obs.add t.c_dropped_peer_down lost;
-    if debug_net then
-      Printf.eprintf "NET kill_conn peer=%s cause=%s lost=%d t=%.3f\n%!"
-        (match c.peer_id with Some i -> string_of_int i | None -> "?")
-        cause lost (Unix.gettimeofday ());
+    trace_net t ~name:"net.kill_conn"
+      ~peer:(Option.value c.peer_id ~default:(-1))
+      [ ("cause", cause); ("lost", string_of_int lost) ];
     close_fd c.fd;
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     Hashtbl.iter
@@ -195,9 +200,7 @@ let send t ~dst payload =
       | Some c -> enqueue t (Some p.p_queue_gauge) c framed
       | None ->
           (* dial refused and we are inside the backoff window *)
-          if debug_net then
-            Printf.eprintf "NET drop-backoff dst=%d t=%.3f\n%!" dst
-              (Unix.gettimeofday ());
+          trace_net t ~name:"net.drop" ~peer:dst [ ("cause", "backoff") ];
           Obs.incr t.c_dropped_peer_down)
   | None -> (
       match Hashtbl.find_opt t.routes dst with

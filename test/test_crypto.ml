@@ -7,7 +7,10 @@ let hex_digest s = Hex.encode (Sha256.digest s)
 
 (* --- SHA-256 against FIPS 180-4 / NIST vectors --- *)
 
-let test_sha256_vectors () =
+(* Each check runs through [digest]: the selected kernel via
+   [Sha256.digest], or one kernel named explicitly. *)
+let sha256_vectors digest () =
+  let hex_digest s = Hex.encode (digest s) in
   check Alcotest.string "empty"
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     (hex_digest "");
@@ -23,10 +26,82 @@ let test_sha256_vectors () =
        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
         ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
 
-let test_sha256_million_a () =
+let sha256_million_a digest () =
   check Alcotest.string "1M a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (hex_digest (String.make 1_000_000 'a'))
+    (Hex.encode (digest (String.make 1_000_000 'a')))
+
+(* --- The two block kernels: each one explicitly, and against each other --- *)
+
+module Kernel = Sha256.Kernel
+
+let kernel_digest kernel s =
+  let ctx = Kernel.init kernel in
+  Sha256.feed ctx s;
+  Sha256.finalize ctx
+
+(* A case for [kernel]; the SHA-NI ones skip, and say so, on a CPU
+   without the extensions. *)
+let kernel_case name speed kernel f =
+  let name = Printf.sprintf "%s, %s kernel" name (Kernel.name kernel) in
+  Alcotest.test_case name speed (fun () ->
+      if kernel == Kernel.native_blocks && not Kernel.native_available then
+        Alcotest.skip ()
+      else f (kernel_digest kernel) ())
+
+(* Hash [s] with [kernel], fed in pieces cut at [cuts] (positions in
+   [0, len]); at [snap_at] take a snapshot and go on from it with
+   [resumer]'s kernel, so the midstate crosses from one kernel to the
+   other. *)
+let split_digest kernel ~resumer s ~cuts ~snap_at =
+  let len = String.length s in
+  let cuts = List.sort_uniq compare (snap_at :: cuts @ [ len ]) in
+  let ctx = ref (Kernel.init kernel) and pos = ref 0 in
+  List.iter
+    (fun c ->
+      Sha256.feed !ctx (String.sub s !pos (c - !pos));
+      pos := c;
+      if c = snap_at then ctx := Kernel.resume resumer (Sha256.snapshot !ctx))
+    cuts;
+  Sha256.finalize !ctx
+
+let prop_sha256_kernels_agree =
+  let gen =
+    QCheck.Gen.(
+      int_bound 5000 >>= fun len ->
+      let pos = int_bound len in
+      (* Snapshots land on, just before and just after block edges too. *)
+      let edge = map (fun b -> min len (64 * b)) (int_bound (len / 64)) in
+      quad (return len) (list_size (int_bound 6) pos)
+        (oneof
+           [ pos; edge; map (fun e -> max 0 (e - 1)) edge; map (fun e -> min len (e + 1)) edge ])
+        (string_size ~gen:char (return len)))
+  in
+  let print (len, cuts, snap_at, _) =
+    Printf.sprintf "len=%d cuts=[%s] snap_at=%d" len
+      (String.concat ";" (List.map string_of_int cuts))
+      snap_at
+  in
+  QCheck.Test.make ~name:"sha-ni and ocaml kernels agree" ~count:300
+    (QCheck.make ~print gen)
+    (fun (_, cuts, snap_at, s) ->
+      let reference = kernel_digest Kernel.ocaml_blocks s in
+      List.for_all
+        (fun (kernel, resumer) ->
+          split_digest kernel ~resumer s ~cuts ~snap_at = reference)
+        Kernel.
+          [
+            (native_blocks, native_blocks);
+            (native_blocks, ocaml_blocks);
+            (ocaml_blocks, native_blocks);
+            (ocaml_blocks, ocaml_blocks);
+          ]
+      && Sha256.digest s = reference)
+
+let test_sha256_kernels_agree =
+  let name, speed, run = qtest prop_sha256_kernels_agree in
+  Alcotest.test_case name speed (fun () ->
+      if Kernel.native_available then run () else Alcotest.skip ())
 
 let test_sha256_block_boundaries () =
   (* 55/56/63/64/65 bytes exercise every padding branch. *)
@@ -86,7 +161,17 @@ let prop_sha256_snapshot_resume =
 let test_sha256_block_counter () =
   let before = Sha256.blocks_compressed () in
   ignore (Sha256.digest (String.make 119 'x'));
-  check Alcotest.int "119 bytes pad to two blocks" 2 (Sha256.blocks_compressed () - before)
+  check Alcotest.int "119 bytes pad to two blocks" 2 (Sha256.blocks_compressed () - before);
+  (* Whole blocks go to the kernel in one call, which counts all of them. *)
+  List.iter
+    (fun kernel ->
+      if kernel != Kernel.native_blocks || Kernel.native_available then begin
+        let before = Sha256.blocks_compressed () in
+        ignore (kernel_digest kernel (String.make 4096 'x'));
+        check Alcotest.int (Kernel.name kernel ^ ": 4096 bytes are 65 blocks") 65
+          (Sha256.blocks_compressed () - before)
+      end)
+    [ Kernel.ocaml_blocks; Kernel.native_blocks ]
 
 (* --- HMAC-SHA256 against RFC 4231 vectors --- *)
 
@@ -740,12 +825,19 @@ let test_vstage_prefetch_and_register () =
     (Vstage.cache_misses st)
 
 let () =
+  Printf.printf "SHA-256 kernel selected from CPUID: %s\n%!"
+    (Sha256.Kernel.name Sha256.Kernel.selected);
   Alcotest.run "iaccf_crypto"
     [
       ( "sha256",
         [
-          Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
-          Alcotest.test_case "million a" `Slow test_sha256_million_a;
+          Alcotest.test_case "NIST vectors" `Quick (sha256_vectors Sha256.digest);
+          Alcotest.test_case "million a" `Slow (sha256_million_a Sha256.digest);
+          kernel_case "NIST vectors" `Quick Kernel.ocaml_blocks sha256_vectors;
+          kernel_case "NIST vectors" `Quick Kernel.native_blocks sha256_vectors;
+          kernel_case "million a" `Slow Kernel.ocaml_blocks sha256_million_a;
+          kernel_case "million a" `Slow Kernel.native_blocks sha256_million_a;
+          test_sha256_kernels_agree;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           qtest prop_sha256_incremental_split;

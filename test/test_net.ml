@@ -729,7 +729,7 @@ let test_peer_killed_endpoint_counts_drops () =
   with_temp_dir @@ fun dir ->
   let addr_a = Addr.Unix_sock (Filename.concat dir "a.sock") in
   let addr_b = Addr.Unix_sock (Filename.concat dir "b.sock") in
-  let obs_a = Obs.create ~metrics:true () in
+  let obs_a = Obs.create ~metrics:true ~tracing:true () in
   let a = Endpoint.create ~obs:obs_a ~listen:addr_a () in
   let b = Endpoint.create ~listen:addr_b () in
   Fun.protect ~finally:(fun () -> Endpoint.close a) @@ fun () ->
@@ -754,7 +754,21 @@ let test_peer_killed_endpoint_counts_drops () =
     Endpoint.poll a ~timeout_ms:2.0
   done;
   check Alcotest.bool "drops counted as peer_down" true
-    (Obs.counter_value obs_a "net.dropped.peer_down" > 0)
+    (Obs.counter_value obs_a "net.dropped.peer_down" > 0);
+  (* each teardown is traced on the peer's track with its cause *)
+  let kills =
+    List.filter
+      (fun e -> e.Obs.ev_name = "net.kill_conn")
+      (Obs.events obs_a)
+  in
+  check Alcotest.bool "connection kill traced" true (kills <> []);
+  List.iter
+    (fun e ->
+      check Alcotest.int "on peer 1's track" 1 e.Obs.ev_node;
+      check Alcotest.(option string) "peer" (Some "1") (List.assoc_opt "peer" e.Obs.ev_args);
+      check Alcotest.bool "cause and lost frames" true
+        (List.mem_assoc "cause" e.Obs.ev_args && List.mem_assoc "lost" e.Obs.ev_args))
+    kills
 
 (* Protocol-level fault injection: a 4-replica fleet (in-process serve
    runtimes over real unix sockets), one replica killed mid-run; the

@@ -431,6 +431,42 @@ let test_reject_cause () =
            [ "min_ok"; "g_ok"; "m_ok" ]))
     exec_rejects
 
+(* A client cut off from every replica retries on its timer; each retry
+   is a [client.retry] instant on the client's track that says how many
+   retries so far and that no replyx has arrived. After the heal the
+   request commits and the retries stop. *)
+let test_client_retry_traced () =
+  let obs = Obs.create ~metrics:true ~tracing:true () in
+  let cluster = Cluster.make ~seed:3 ~n:4 ~obs () in
+  let client = Cluster.add_client cluster () in
+  let net = Cluster.network cluster in
+  Network.partition net [ Client.address client ] [ 0; 1; 2; 3 ];
+  let completed = ref false in
+  Client.submit client ~proc:"counter/add" ~args:"1"
+    ~on_complete:(fun _ -> completed := true)
+    ();
+  ignore (Cluster.run_until cluster ~timeout_ms:1_000.0 (fun () -> false));
+  Network.heal net;
+  check Alcotest.bool "commits after the heal" true
+    (Cluster.run_until cluster ~timeout_ms:60_000.0 (fun () -> !completed));
+  let retries =
+    List.filter
+      (fun e -> e.Obs.ev_ph = Obs.Instant && e.Obs.ev_name = "client.retry")
+      (Obs.events obs)
+  in
+  check Alcotest.bool "retries are traced" true (List.length retries >= 3);
+  List.iteri
+    (fun i e ->
+      check Alcotest.int "on the client's track" (Client.address client) e.Obs.ev_node;
+      check
+        Alcotest.(list (option string))
+        "retry count, replyx, replies"
+        [ Some (string_of_int (i + 1)); Some "false"; Some "" ]
+        (List.map
+           (fun k -> List.assoc_opt k e.Obs.ev_args)
+           [ "retry"; "replyx"; "replies" ]))
+    (List.filteri (fun i _ -> i < 3) retries)
+
 (* --------------------------------------------------------------- *)
 (* Trace IDs                                                        *)
 
@@ -563,5 +599,6 @@ let () =
             test_critical_path_sanity;
           Alcotest.test_case "rejection cause of an equivocated batch" `Quick
             test_reject_cause;
+          Alcotest.test_case "client retries traced" `Quick test_client_retry_traced;
         ] );
     ]
