@@ -19,8 +19,9 @@
    Per-layer rows (series "layers", Info) time the costs underneath:
    field mul and sqr, SHA-256 of 64 bytes, SHA-256 throughput over a
    1 MiB buffer, sign, and verify with and without a fixed-base table,
-   each the median of 7 timed loops. The SHA-256 rows use the kernel
-   this CPU selected (named in the file's "sha256_kernel" field);
+   each the median of 7 timed loops. The field rows time the kernel
+   named in the file's "field_kernel" field. The SHA-256 rows use the
+   kernel this CPU selected (named in the file's "sha256_kernel" field);
    sha256_ocaml_MBps times the portable OCaml kernel, the fallback, on
    the same buffer.
 
@@ -226,10 +227,9 @@ let ns_per_op ~iters f =
   per_trial.(trials / 2)
 
 let layer_rows () =
-  let s = Fe.scratch () in
   let a = Fe.of_bytes (Sha256.digest "fe-a") and b = Fe.of_bytes (Sha256.digest "fe-b") in
-  let fe_mul = ns_per_op ~iters:100_000 (fun _ -> Fe.mul s a a b) in
-  let fe_sqr = ns_per_op ~iters:100_000 (fun _ -> Fe.sqr s a a) in
+  let fe_mul = ns_per_op ~iters:100_000 (fun _ -> Fe.mul a a b) in
+  let fe_sqr = ns_per_op ~iters:100_000 (fun _ -> Fe.sqr a a) in
   let block = String.make 64 'x' in
   let sha = ns_per_op ~iters:20_000 (fun _ -> ignore (Sha256.digest block)) in
   let mib = String.make (1 lsl 20) 'x' in
@@ -261,7 +261,7 @@ let layer_rows () =
   Schnorr.precompute pk;
   let tabled = verify () in
   Printf.printf "crypto-bench layers (median of 7 trials)\n";
-  Printf.printf "  field mul %8.1f ns   sqr %8.1f ns\n" fe_mul fe_sqr;
+  Printf.printf "  field (%s) mul %8.1f ns   sqr %8.1f ns\n" Fe.kernel fe_mul fe_sqr;
   Printf.printf "  sha256 (%s) /64B %8.1f ns   %6.1f MB/s   ocaml kernel %6.1f MB/s\n"
     (Sha256.Kernel.name Sha256.Kernel.selected)
     sha sha_mbps sha_ocaml_mbps;
@@ -284,5 +284,6 @@ let () =
   let components = component_rows () in
   let rows = pipeline @ components @ layer_rows () in
   Report.write_rows ~file:"BENCH_crypto.json" ~bench:"crypto"
-    ~meta:[ ("sha256_kernel", Sha256.Kernel.name Sha256.Kernel.selected) ]
+    ~meta:
+      [ ("sha256_kernel", Sha256.Kernel.name Sha256.Kernel.selected); ("field_kernel", Fe.kernel) ]
     rows

@@ -160,7 +160,7 @@ let try_complete t p =
                       (Obs.now t.obs -. t_commit)
                 | None -> ());
                 if Obs.tracing_enabled t.obs then begin
-                  let id = Request.trace_id p.p_req in
+                  let id = Request.trace_id_of_hash p.p_hash in
                   Obs.instant t.obs ~node:t.addr ~cat:"request"
                     ~name:"receipt.issued" ~id
                     ~args:[ ("seqno", string_of_int pp.Message.seqno) ]
@@ -362,7 +362,7 @@ let submit t ~proc ~args ?on_complete () =
     (* The e2e span id IS the request's causal trace id: flow events and
        the request.batched instant key off the same hash prefix. *)
     Obs.span_begin t.obs ~node:t.addr ~cat:"request" ~name:"e2e"
-      ~id:(Request.trace_id req)
+      ~id:(Request.trace_id_of_hash h)
       ~args:[ ("proc", proc) ]
       ();
   broadcast t (Wire.Request_msg req);

@@ -207,7 +207,9 @@ type t = {
   ledger : Ledger.t;
   storage : Iaccf_storage.Store.t option;  (* durable ledger backend *)
   requests : (string, pending) Hashtbl.t; (* raw digest -> request *)
-  mutable request_order : D.t list; (* request hashes, newest first *)
+  request_order : pending Queue.t;
+      (* T in arrival order; an entry is live while [requests] maps its
+         digest to that very record (see [is_live]) *)
   executed_requests : (string, int) Hashtbl.t;
       (* raw request digest -> seqno of the batch that executed it *)
   records : (int, batch_record) Hashtbl.t;
@@ -351,10 +353,24 @@ let pending_of (req : Request.t) =
   let p_digest, p_mid = Request.hash_and_midstate req in
   { p_req = req; p_digest; p_mid }
 
-(* Add a request to the pending pool T (callers check it is not there). *)
+let is_live t p =
+  match Hashtbl.find_opt t.requests (D.to_raw p.p_digest) with
+  | Some q -> q == p
+  | None -> false
+
+(* Add a request to the pending pool T (callers check it is not there).
+   Entries of requests that left T stay in [request_order] until the dead
+   ones outnumber the live: then one pass drops them, so the queue stays
+   O(|T|) at O(1) amortized per request. *)
 let add_pending t p =
   Hashtbl.replace t.requests (D.to_raw p.p_digest) p;
-  t.request_order <- p.p_digest :: t.request_order;
+  Queue.push p t.request_order;
+  if Queue.length t.request_order > (2 * Hashtbl.length t.requests) + 64 then begin
+    let live = Queue.create () in
+    Queue.iter (fun p -> if is_live t p then Queue.push p live) t.request_order;
+    Queue.clear t.request_order;
+    Queue.transfer live t.request_order
+  end;
   Obs.incr t.ctr.c_requests_received
 
 (* Derive this replica's nonce for (view, seqno), keep its opening for the
@@ -1352,26 +1368,24 @@ and plan_batch t s =
         (* evidence(2) + pp(1) would place the first tx there when evidence
            exists; recomputed precisely in emit_batch. This estimate only
            gates min_index; emit_batch re-checks. *)
-        let rec take acc n = function
-          | [] -> List.rev acc
-          | h :: rest ->
-              if n = 0 then List.rev acc
-              else begin
-                match Hashtbl.find_opt t.requests h with
-                | None -> take acc n rest
-                | Some { p_req = req; p_digest; _ } ->
-                    if Hashtbl.mem t.executed_requests h then begin
-                      Hashtbl.remove t.requests h;
-                      take acc n rest
-                    end
-                    else if req.Request.min_index > base_index + List.length acc then
-                      take acc n rest
-                    else if is_gov_request req then List.rev ((p_digest, req) :: acc)
-                    else take ((p_digest, req) :: acc) (n - 1) rest
-              end
+        let rec take acc n order =
+          if n = 0 then List.rev acc
+          else
+            match order () with
+            | Seq.Nil -> List.rev acc
+            | Seq.Cons (p, rest) ->
+                let h = D.to_raw p.p_digest and req = p.p_req in
+                if not (is_live t p) then take acc n rest
+                else if Hashtbl.mem t.executed_requests h then begin
+                  Hashtbl.remove t.requests h;
+                  take acc n rest
+                end
+                else if req.Request.min_index > base_index + List.length acc then
+                  take acc n rest
+                else if is_gov_request req then List.rev ((p.p_digest, req) :: acc)
+                else take ((p.p_digest, req) :: acc) (n - 1) rest
         in
-        let order = List.rev t.request_order in
-        let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
+        let chosen = take [] t.params.max_batch (Queue.to_seq t.request_order) in
         if chosen = [] then None else Some (Batch.Regular, chosen)
       end
 
@@ -1434,9 +1448,6 @@ and adopt_batch t how ~before ~writes ~digests ~leaves ~ev_prepares ~ev_nonces
       Hashtbl.replace t.executed_requests h s;
       Hashtbl.remove t.requests h)
     digests;
-  if not replayed then
-    t.request_order <-
-      List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
   if how = Proposed then update_queue_gauge t;
   let rec_ =
     {
@@ -3063,7 +3074,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       ledger = Ledger.create genesis;
       storage;
       requests = Hashtbl.create 64;
-      request_order = [];
+      request_order = Queue.create ();
       executed_requests = Hashtbl.create 64;
       records = Hashtbl.create 64;
       prepares = Hashtbl.create 64;

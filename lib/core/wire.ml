@@ -90,6 +90,29 @@ type t =
       au_root : D.t;
     }
 
+(* Trace ids of the requests sent from this domain, keyed by the request
+   value itself. In one process a request travels from the client to the
+   replicas and back inside a replyx as the same value, so its digest is
+   taken once per distinct request, not once per send. The keys are weak:
+   an id goes when its request does. *)
+module Trace_ids = Ephemeron.K1.Make (struct
+  type t = Request.t
+
+  let equal = ( == )
+  let hash r = Hashtbl.hash r.Request.signature
+end)
+
+let trace_ids = Domain.DLS.new_key (fun () -> Trace_ids.create 64)
+
+let request_trace_id r =
+  let ids = Domain.DLS.get trace_ids in
+  match Trace_ids.find_opt ids r with
+  | Some id -> id
+  | None ->
+      let id = Request.trace_id r in
+      Trace_ids.replace ids r id;
+      id
+
 (* Causal-flow classification for the tracing layer: which messages carry
    a request's causality across nodes, and under which flow identity.
    Request and replyx messages use the request's content-derived trace id,
@@ -100,14 +123,14 @@ type t =
    and fetch traffic is deliberately unclassified — it is not on any
    request's critical path and would drown the trace. *)
 let flow_of = function
-  | Request_msg r -> Some ("flow.request", Request.trace_id r)
+  | Request_msg r -> Some ("flow.request", request_trace_id r)
   | Pre_prepare_msg { pp; _ } ->
       Some ("flow.pre_prepare", "s" ^ string_of_int pp.Message.seqno)
   | Prepare_msg p -> Some ("flow.prepare", "s" ^ string_of_int p.Message.p_seqno)
   | Commit_msg c -> Some ("flow.commit", "s" ^ string_of_int c.Message.c_seqno)
   | Reply_msg r -> Some ("flow.reply", "s" ^ string_of_int r.Message.r_seqno)
   | Replyx_msg x ->
-      Some ("flow.receipt", Request.trace_id x.Message.x_tx.Iaccf_types.Batch.request)
+      Some ("flow.receipt", request_trace_id x.Message.x_tx.Iaccf_types.Batch.request)
   | View_change_msg vc ->
       Some ("flow.view_change", "v" ^ string_of_int vc.Message.vc_view)
   | New_view_msg { nv; _ } ->

@@ -1,10 +1,11 @@
 (** Arbitrary-precision natural numbers.
 
     Little-endian arrays of 24-bit limbs over native ints, so schoolbook
-    products and carry chains never overflow 63-bit arithmetic. This serves
-    the Schnorr scalars and the encodings at {!Group}'s interface, and is
-    the reference the fixed-width field ({!Fe}) is tested against; the
-    build has no [zarith], so the reproduction carries its own bignums. *)
+    products and carry chains never overflow 63-bit arithmetic. Signing
+    and verification do not use it: it is the reference the
+    fixed-width field ({!Fe}) and {!Group}'s scalar arithmetic are tested
+    against; the build has no [zarith], so the reproduction carries its
+    own bignums. *)
 
 type t
 

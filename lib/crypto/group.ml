@@ -2,7 +2,6 @@ let p =
   Bignum.sub (Bignum.shift_left Bignum.one 255) (Bignum.of_int 19)
 
 let n = Bignum.sub p Bignum.one
-let g = Bignum.of_int 2
 
 (* x mod (2^255 - c): fold the high part down as hi*c + lo until the value
    fits in 255 bits, then subtract the modulus while it is still too big.
@@ -22,21 +21,41 @@ let fold_mod ~c m x =
 let reduce x = fold_mod ~c:19 p x
 let reduce_scalar x = fold_mod ~c:20 n x
 
-(* Elements cross into the fixed-width field through their 32-byte
-   encoding; every exponentiation below runs on Fe with a scratch buffer
-   of its own, so calls on different domains share nothing mutable. *)
-let fe_of b = Fe.of_bytes (Bignum.to_bytes_be_fixed 32 b)
-let bignum_of_fe x = Bignum.of_bytes_be (Fe.to_bytes x)
+(* Scalars stay 32-byte big-endian strings: String.compare orders such
+   strings as the numbers they encode. *)
+let p_bytes = Bignum.to_bytes_be_fixed 32 p
+let n_bytes = Bignum.to_bytes_be_fixed 32 n
 
-let mul a b =
-  let x = fe_of a in
-  Fe.mul (Fe.scratch ()) x x (fe_of b);
-  bignum_of_fe x
+(* [a - b] for 32-byte [a >= b]. *)
+let sub_be a b =
+  let r = Bytes.create 32 and borrow = ref 0 in
+  for i = 31 downto 0 do
+    let d = Char.code a.[i] - Char.code b.[i] - !borrow in
+    borrow := if d < 0 then 1 else 0;
+    Bytes.set r i (Char.unsafe_chr (d land 0xff))
+  done;
+  Bytes.unsafe_to_string r
 
-(* Exponent bits, least significant first, from the big-endian bytes. *)
-let bit e_bytes i =
-  let k = String.length e_bytes - 1 - (i / 8) in
-  k >= 0 && (Char.code e_bytes.[k] lsr (i land 7)) land 1 = 1
+(* A 256-bit value is below 2^256 = 2n + 40, so two subtractions reduce
+   it. *)
+let scalar_of_bytes s =
+  if String.length s <> 32 then invalid_arg "Group.scalar_of_bytes: need 32 bytes";
+  let rec go s = if String.compare s n_bytes >= 0 then go (sub_be s n_bytes) else s in
+  go s
+
+let is_scalar s = String.length s = 32 && String.compare s n_bytes < 0
+let scalar_neg e = sub_be n_bytes e
+let g = Fe.of_bytes (Bignum.to_bytes_be_fixed 32 (Bignum.of_int 2))
+let zero_bytes = String.make 32 '\000'
+
+let element_of_bytes s =
+  if String.length s = 32 && s <> zero_bytes && String.compare s p_bytes < 0 then
+    Some (Fe.of_bytes s)
+  else None
+
+let exponent e =
+  if String.length e <> 32 then invalid_arg "Group.multi_pow: need 32-byte exponents";
+  e
 
 (* Fixed-base comb (Lim-Lee): a 256-bit exponent is read as 8 rows of 32
    bits, row i covering bits 32i..32i+31. The table holds, for every 8-bit
@@ -55,18 +74,17 @@ let rows = 8
 let cols = 32
 
 let make_table base =
-  let s = Fe.scratch () in
   let table = Array.make (1 lsl rows) (Fe.one ()) in
-  table.(1) <- fe_of base;
+  table.(1) <- Fe.copy base;
   for i = 1 to rows - 1 do
     let x = Fe.copy table.(1 lsl (i - 1)) in
     for _ = 1 to cols do
-      Fe.sqr s x x
+      Fe.sqr x x
     done;
     table.(1 lsl i) <- x;
     for v = 1 to (1 lsl i) - 1 do
       let y = Fe.copy x in
-      Fe.mul s y y table.(v);
+      Fe.mul y y table.(v);
       table.((1 lsl i) lor v) <- y
     done
   done;
@@ -74,80 +92,76 @@ let make_table base =
 
 let g_table = make_table g
 
-(* Combs of several bases share the one 32-step squaring chain. *)
-let multi_pow_table pairs =
-  let s = Fe.scratch () and acc = Fe.one () in
-  let combs =
-    List.map
-      (fun (table, e) ->
-        if Bignum.bit_length e > rows * cols then
-          invalid_arg "Group.multi_pow_table: exponent too wide";
-        (table, Bignum.to_bytes_be e))
-      pairs
-  in
-  for j = cols - 1 downto 0 do
-    Fe.sqr s acc acc;
-    List.iter
-      (fun (table, e_bytes) ->
-        let v = ref 0 in
-        for i = rows - 1 downto 0 do
-          v := (!v lsl 1) lor if bit e_bytes ((cols * i) + j) then 1 else 0
-        done;
-        if !v <> 0 then Fe.mul s acc acc table.(!v))
-      combs
+(* The table index of every column: bit i of column j is bit 32i + j of
+   the exponent. *)
+let comb_columns e =
+  let c = Array.make cols 0 in
+  for i = 0 to rows - 1 do
+    let row = Int32.to_int (String.get_int32_be e (28 - (4 * i))) land 0xffff_ffff in
+    for j = 0 to cols - 1 do
+      c.(j) <- c.(j) lor (((row lsr j) land 1) lsl i)
+    done
   done;
-  bignum_of_fe acc
+  c
 
-let pow_table table e = multi_pow_table [ (table, e) ]
-let pow_g e = pow_table g_table e
+(* b^0..b^15 for 4-bit windows: 14 multiplications. *)
+let window_table b =
+  let tbl = Array.make 16 b in
+  for d = 2 to 15 do
+    let x = Fe.copy tbl.(d - 1) in
+    Fe.mul x x b;
+    tbl.(d) <- x
+  done;
+  tbl
 
-(* Straus shared-window multi-exponentiation: prod_i b_i^(e_i) with one
-   squaring chain shared across all bases and 4-bit windows. Per base the
-   precomputation is 14 multiplications (b^2..b^15); the scan then costs
-   4 squarings per window plus at most one multiplication per base per
-   window, so the 256 squarings are paid once, not per base. *)
-let multi_pow pairs =
-  let w = 4 in
-  let s = Fe.scratch () in
+(* One squaring chain, one bit per step, serves every base. Straus:
+   a windowed base multiplies in its 4-bit digit at every fourth bit, so
+   per base that is at most 64 multiplications after its 14 of set-up.
+   A tabled base multiplies in its comb column at each of the last 32
+   bits; with no windowed base the chain is 32 squarings long. Bits
+   above the first nonzero digit cost nothing. *)
+let multi_pow ?(tables = []) pairs =
   let windows =
-    List.map
-      (fun (b, e) ->
-        let tbl = Array.make 16 (fe_of b) in
-        for d = 2 to 15 do
-          let x = Fe.copy tbl.(d - 1) in
-          Fe.mul s x x tbl.(1);
-          tbl.(d) <- x
-        done;
-        (tbl, Bignum.to_bytes_be e))
-      pairs
+    List.map (fun (b, e) -> (window_table b, exponent e)) pairs
   in
-  let nbits = List.fold_left (fun acc (_, e) -> max acc (Bignum.bit_length e)) 0 pairs in
-  let nwin = (nbits + w - 1) / w in
-  let acc = Fe.one () in
-  for win = nwin - 1 downto 0 do
-    if win < nwin - 1 then
-      for _ = 1 to w do
-        Fe.sqr s acc acc
-      done;
-    List.iter
-      (fun (tbl, e_bytes) ->
-        let d = ref 0 in
-        for b = w - 1 downto 0 do
-          d := (!d lsl 1) lor if bit e_bytes ((win * w) + b) then 1 else 0
-        done;
-        if !d <> 0 then Fe.mul s acc acc tbl.(!d))
-      windows
+  let combs =
+    List.map (fun (t, e) -> (t, comb_columns (exponent e))) tables
+  in
+  let acc = Fe.one () and started = ref false in
+  let mul x =
+    Fe.mul acc acc x;
+    started := true
+  in
+  for bit = (if windows = [] then cols - 1 else 255) downto 0 do
+    if !started then Fe.sqr acc acc;
+    if bit land 3 = 0 then begin
+      (* Window w is bits 4w..4w+3: a nibble of byte 31 - w/2. *)
+      let w = bit lsr 2 in
+      List.iter
+        (fun (tbl, e) ->
+          let d = (Char.code e.[31 - (w lsr 1)] lsr ((w land 1) * 4)) land 15 in
+          if d <> 0 then mul tbl.(d))
+        windows
+    end;
+    if bit < cols then
+      List.iter
+        (fun (table, columns) ->
+          let v = columns.(bit) in
+          if v <> 0 then mul table.(v))
+        combs
   done;
-  bignum_of_fe acc
+  Fe.to_bytes acc
 
 let pow b e = multi_pow [ (b, e) ]
-let scalar_of_bytes s = reduce_scalar (Bignum.of_bytes_be s)
+let pow_table table e = multi_pow ~tables:[ (table, e) ] []
+let pow_g e = pow_table g_table e
 
-let element_of_bytes s =
-  if String.length s <> 32 then None
-  else begin
-    let v = Bignum.of_bytes_be s in
-    if Bignum.is_zero v || Bignum.compare v p >= 0 then None else Some v
-  end
+external muladd : bytes -> string -> string -> string -> unit = "caml_iaccf_scalar_muladd"
+[@@noalloc]
 
-let element_to_bytes v = Bignum.to_bytes_be_fixed 32 v
+let scalar_muladd e x k =
+  if String.length e <> 32 || String.length x <> 32 || String.length k <> 32 then
+    invalid_arg "Group.scalar_muladd: need 32-byte scalars";
+  let out = Bytes.create 32 in
+  muladd out e x k;
+  Bytes.unsafe_to_string out

@@ -25,10 +25,11 @@ val public_key_of_bytes : string -> public_key option
 val precompute : public_key -> unit
 (** Build the per-key fixed-base comb ({!Group.make_table}, done once):
     later [verify] calls against this key run on a 32-step squaring chain
-    instead of a 252-step one, about 2.7x faster (12.5 against 33 us in
-    BENCH_crypto.json, one Xeon core). The build costs about one untabled
-    verification (39 us), so it pays for any key seen more than twice —
-    replica keys, repeat clients. Idempotent; safe to race. *)
+    instead of a 252-step one, about 2.3x faster (6.5 against 15 us in
+    BENCH_crypto.json, one Xeon core). The build costs about one and a
+    half untabled verifications (23 us), so it pays for any key seen more
+    than four times — replica keys, repeat clients. Idempotent; safe to
+    race. *)
 
 val has_table : public_key -> bool
 (** Whether [precompute] has run for this key. *)

@@ -65,9 +65,9 @@ type t = {
 let max_interned = 4096
 
 (* Build the fixed-base table once a key has verified twice: the build
-   costs about one untabled verification (39 against 33 us in
-   BENCH_crypto.json) and each later verification saves about 20 us (12.5
-   against 33), so the third and fourth uses already pay for it. *)
+   costs about one and a half untabled verifications (23 against 15 us in
+   BENCH_crypto.json) and each later verification saves about 8.5 us (6.5
+   against 15), so the third to fifth uses pay for it. *)
 let precompute_after = 2
 
 let batch_buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]

@@ -311,71 +311,91 @@ let prop_bignum_shift_mul =
 
 (* --- Group --- *)
 
+(* Group speaks 32-byte big-endian strings; the reference speaks Bignum. *)
+let enc v = Bignum.to_bytes_be_fixed 32 v
+let fe_of v = Fe.of_bytes (enc v)
+let elt = Alcotest.testable (fun ppf s -> Format.pp_print_string ppf (Hex.encode s)) String.equal
+
+let group_mul a b =
+  let x = Fe.of_bytes a in
+  Fe.mul x x (Fe.of_bytes b);
+  Fe.to_bytes x
+
 let test_group_reduce_matches_rem () =
   let x = Bignum.of_hex (String.concat "" (List.init 16 (fun _ -> "deadbeef"))) in
   check bn_testable "reduce = rem" (Bignum.rem x Group.p) (Group.reduce x)
 
 let test_group_pow_matches_mod_pow () =
   let b = bn 12345 and e = bn 6789 in
-  check bn_testable "pow = mod_pow" (Bignum.mod_pow b e Group.p) (Group.pow b e)
+  check elt "pow = mod_pow" (enc (Bignum.mod_pow b e Group.p)) (Group.pow (fe_of b) (enc e))
 
 let test_group_fermat () =
   (* g^n = 1 (mod p) since n = p - 1 and p is prime. *)
-  check bn_testable "g^(p-1) = 1" Bignum.one (Group.pow Group.g Group.n)
+  check elt "g^(p-1) = 1" (enc Bignum.one) (Group.pow Group.g (enc Group.n))
 
 let test_group_element_bytes () =
-  check Alcotest.(option string) "roundtrip" (Some (Group.element_to_bytes (bn 42)))
-    (Option.map Group.element_to_bytes (Group.element_of_bytes (Group.element_to_bytes (bn 42))));
+  check Alcotest.(option elt) "roundtrip" (Some (enc (bn 42)))
+    (Option.map Fe.to_bytes (Group.element_of_bytes (enc (bn 42))));
+  check Alcotest.(option elt) "p - 1" (Some (enc (Bignum.sub Group.p Bignum.one)))
+    (Option.map Fe.to_bytes (Group.element_of_bytes (enc (Bignum.sub Group.p Bignum.one))));
   check Alcotest.bool "rejects zero" true
     (Group.element_of_bytes (String.make 32 '\x00') = None);
+  check Alcotest.bool "rejects p" true (Group.element_of_bytes (enc Group.p) = None);
   check Alcotest.bool "rejects >= p" true
-    (Group.element_of_bytes (String.make 32 '\xff') = None)
+    (Group.element_of_bytes (String.make 32 '\xff') = None);
+  check Alcotest.bool "rejects 31 bytes" true
+    (Group.element_of_bytes (String.make 31 '\x01') = None)
 
 let prop_group_pow_homomorphism =
   QCheck.Test.make ~name:"g^a * g^b = g^(a+b)" ~count:20
     QCheck.(pair (int_bound 100000) (int_bound 100000))
     (fun (a, b) ->
-      let lhs = Group.mul (Group.pow Group.g (bn a)) (Group.pow Group.g (bn b)) in
-      let rhs = Group.pow Group.g (bn (a + b)) in
-      Bignum.equal lhs rhs)
+      let pow_g k = Group.pow Group.g (enc (bn k)) in
+      String.equal (group_mul (pow_g a) (pow_g b)) (pow_g (a + b)))
 
 let test_group_table_pow () =
-  let base = bn 987654321 in
+  let base = fe_of (bn 987654321) in
   let table = Group.make_table base in
   List.iter
     (fun e ->
-      check bn_testable (Printf.sprintf "base^%d" e) (Group.pow base (bn e))
-        (Group.pow_table table (bn e)))
+      check elt (Printf.sprintf "base^%d" e) (Group.pow base (enc (bn e)))
+        (Group.pow_table table (enc (bn e))))
     [ 0; 1; 2; 255; 1 lsl 30 ];
   (* A full-width exponent exercises every table entry the value touches. *)
-  let e = Bignum.sub Group.n Bignum.one in
-  check bn_testable "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
-  check bn_testable "g_table consistent" (Group.pow Group.g e) (Group.pow_g e);
-  let a = Bignum.of_int 0xdeadbeef in
-  check bn_testable "g^a * base^e on one chain"
-    (Group.mul (Group.pow Group.g a) (Group.pow base e))
-    (Group.multi_pow_table [ (Group.g_table, a); (table, e) ]);
-  Alcotest.check_raises "exponent wider than the comb"
-    (Invalid_argument "Group.multi_pow_table: exponent too wide") (fun () ->
-      ignore (Group.pow_table table (Bignum.shift_left Bignum.one 256)))
+  let e = enc (Bignum.sub Group.n Bignum.one) in
+  check elt "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
+  check elt "g_table consistent" (Group.pow Group.g e) (Group.pow_g e);
+  let a = enc (Bignum.of_int 0xdeadbeef) in
+  let expect = group_mul (Group.pow Group.g a) (Group.pow base e) in
+  check elt "g^a * base^e on one chain" expect
+    (Group.multi_pow ~tables:[ (Group.g_table, a); (table, e) ] []);
+  check elt "comb and windows on one chain" expect
+    (Group.multi_pow ~tables:[ (Group.g_table, a) ] [ (base, e) ]);
+  List.iter
+    (fun e ->
+      Alcotest.check_raises "exponent not 32 bytes"
+        (Invalid_argument "Group.multi_pow: need 32-byte exponents") (fun () ->
+          ignore (Group.pow_table table e)))
+    [ Bignum.to_bytes_be (Bignum.shift_left Bignum.one 256); "\xff" ]
 
 let prop_group_multi_pow =
   QCheck.Test.make ~name:"multi_pow = product of pows" ~count:15
     QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 100000))
     (fun (a, b, c) ->
-      let y = Group.pow_g (bn c) in
-      let expect = Group.mul (Group.pow Group.g (bn a)) (Group.pow y (bn b)) in
-      Bignum.equal expect (Group.multi_pow [ (Group.g, bn a); (y, bn b) ]))
+      let y = Fe.of_bytes (Group.pow_g (enc (bn c))) in
+      let expect = group_mul (Group.pow Group.g (enc (bn a))) (Group.pow y (enc (bn b))) in
+      String.equal expect (Group.multi_pow [ (Group.g, enc (bn a)); (y, enc (bn b)) ])
+      && String.equal expect (Group.multi_pow ~tables:[ (Group.g_table, enc (bn a)) ] [ (y, enc (bn b)) ]))
 
 (* --- Fe: the fixed-width field against the Bignum reference --- *)
 
 let fe_hex x = Hex.encode (Fe.to_bytes x)
-let ref_hex v = Hex.encode (Bignum.to_bytes_be_fixed 32 (Group.reduce v))
+let ref_hex v = Hex.encode (enc (Group.reduce v))
 let two_pow k = Bignum.shift_left Bignum.one k
 
-(* The value of ten raw 26-bit limbs, as the reference sees it. *)
+(* The value of five raw 51-bit limbs, as the reference sees it. *)
 let bignum_of_limbs l =
-  Array.fold_right (fun limb acc -> Bignum.add (Bignum.shift_left acc 26) (bn limb)) l Bignum.zero
+  Array.fold_right (fun limb acc -> Bignum.add (Bignum.shift_left acc 51) (bn limb)) l Bignum.zero
 
 let bytes32 = QCheck.(string_of_size (Gen.return 32))
 
@@ -383,19 +403,60 @@ let prop_fe_mul =
   QCheck.Test.make ~name:"mul = reduce (Bignum.mul a b)" ~count:500 (QCheck.pair bytes32 bytes32)
     (fun (a, b) ->
       let x = Fe.of_bytes a in
-      Fe.mul (Fe.scratch ()) x x (Fe.of_bytes b);
+      Fe.mul x x (Fe.of_bytes b);
       fe_hex x = ref_hex (Bignum.mul (Bignum.of_bytes_be a) (Bignum.of_bytes_be b)))
 
 let prop_fe_sqr =
   QCheck.Test.make ~name:"sqr = reduce (Bignum.mul a a)" ~count:500 bytes32 (fun a ->
       let x = Fe.of_bytes a in
-      Fe.sqr (Fe.scratch ()) x x;
+      Fe.sqr x x;
       let v = Bignum.of_bytes_be a in
       fe_hex x = ref_hex (Bignum.mul v v))
 
 let prop_fe_bytes =
   QCheck.Test.make ~name:"to_bytes (of_bytes s) = reduce s" ~count:500 bytes32 (fun a ->
       fe_hex (Fe.of_bytes a) = ref_hex (Bignum.of_bytes_be a))
+
+(* Loose limbs anywhere below the kernel's input bound of 2^54, weighted
+   towards the extremes where carries overflow first. *)
+let limb_max = (1 lsl 54) - 1
+
+let arb_loose =
+  let limb =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return limb_max);
+          (1, return 0);
+          (1, map (fun k -> limb_max - k) (int_bound 1000));
+          (4, map2 (fun hi lo -> (hi lsl 27) lor lo) (int_bound ((1 lsl 27) - 1)) (int_bound ((1 lsl 27) - 1)));
+        ])
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "," (Array.to_list (Array.map string_of_int l)))
+    QCheck.Gen.(array_size (return 5) limb)
+
+(* mul, sqr and to_bytes on loose inputs, then 300 squarings: every
+   result feeds the next squaring, so a carry slip compounds. *)
+let prop_fe_loose =
+  QCheck.Test.make ~name:"loose limbs up to 2^54 and a 300-squaring chain" ~count:100
+    (QCheck.pair arb_loose arb_loose) (fun (la, lb) ->
+      let va = bignum_of_limbs la and vb = bignum_of_limbs lb in
+      let a = Fe.of_limbs la and b = Fe.of_limbs lb in
+      let m = Fe.one () and sq = Fe.copy a in
+      Fe.mul m a b;
+      Fe.sqr sq sq;
+      let ok =
+        fe_hex a = ref_hex va
+        && fe_hex m = ref_hex (Bignum.mul va vb)
+        && fe_hex sq = ref_hex (Bignum.mul va va)
+      in
+      let v = ref (Group.reduce (Bignum.mul va va)) in
+      for _ = 1 to 300 do
+        Fe.sqr sq sq;
+        v := Group.reduce (Bignum.mul !v !v)
+      done;
+      ok && fe_hex sq = ref_hex !v)
 
 let test_fe_edges () =
   let open Bignum in
@@ -404,56 +465,87 @@ let test_fe_edges () =
       add Group.p (bn 18); sub (two_pow 256) one ]
   in
   let limb_sets =
-    [ Array.make 10 ((1 lsl 26) - 1); Array.make 10 (1 lsl 26); Array.make 10 ((1 lsl 27) - 1);
-      Array.init 10 (fun i -> if i mod 2 = 0 then (1 lsl 26) + i else (1 lsl 26) - 1 - i) ]
+    [ Array.make 5 ((1 lsl 51) - 1); Array.make 5 (1 lsl 51); Array.make 5 limb_max;
+      Array.init 5 (fun i -> if i mod 2 = 0 then (1 lsl 53) + i else (1 lsl 51) - 1 - i) ]
   in
   let cases =
-    List.map (fun v -> (to_hex v, Fe.of_bytes (to_bytes_be_fixed 32 v), v)) values
+    List.map (fun v -> (to_hex v, Fe.of_bytes (enc v), v)) values
     @ List.map (fun l -> ("limbs " ^ to_hex (bignum_of_limbs l), Fe.of_limbs l, bignum_of_limbs l)) limb_sets
   in
-  let s = Fe.scratch () in
   List.iter
     (fun (la, x, va) ->
       check Alcotest.string ("encode " ^ la) (ref_hex va) (fe_hex x);
       let sq = Fe.copy x in
-      Fe.sqr s sq sq;
+      Fe.sqr sq sq;
       check Alcotest.string ("sqr " ^ la) (ref_hex (mul va va)) (fe_hex sq);
       List.iter
         (fun (lb, y, vb) ->
           let r = Fe.one () in
-          Fe.mul s r x y;
+          Fe.mul r x y;
           check Alcotest.string (Printf.sprintf "mul %s %s" la lb) (ref_hex (mul va vb)) (fe_hex r))
         cases)
     cases;
-  Alcotest.check_raises "limb out of range" (Invalid_argument "Fe.of_limbs: need ten limbs in [0, 2^27)")
-    (fun () -> ignore (Fe.of_limbs (Array.make 10 (1 lsl 27))))
+  Alcotest.check_raises "limb out of range" (Invalid_argument "Fe.of_limbs: need five limbs in [0, 2^54)")
+    (fun () -> ignore (Fe.of_limbs (Array.make 5 (1 lsl 54))));
+  Alcotest.check_raises "ten limbs" (Invalid_argument "Fe.of_limbs: need five limbs in [0, 2^54)")
+    (fun () -> ignore (Fe.of_limbs (Array.make 10 1)))
 
 (* x^(2^k) by k squarings, against square-and-multiply with long
    division: any carry slip in a loose intermediate compounds. *)
 let test_fe_sqr_chain () =
   let k = 10_000 in
   let seed = Sha256.digest "fe-chain" in
-  let x = Fe.of_bytes seed and s = Fe.scratch () in
+  let x = Fe.of_bytes seed in
   for _ = 1 to k do
-    Fe.sqr s x x
+    Fe.sqr x x
   done;
   check Alcotest.string "x^(2^10000)"
-    (Hex.encode (Bignum.to_bytes_be_fixed 32 (Bignum.mod_pow (Bignum.of_bytes_be seed) (two_pow k) Group.p)))
+    (Hex.encode (enc (Bignum.mod_pow (Bignum.of_bytes_be seed) (two_pow k) Group.p)))
     (fe_hex x)
 
+(* The Bignum fold, and the 32-byte scalar reduction the signature path
+   uses, against long division. *)
 let prop_scalar_fold =
   QCheck.Test.make ~name:"reduce_scalar = rem n, up to 512 bits" ~count:500
     QCheck.(string_of_size (Gen.int_range 0 64))
     (fun b ->
       let v = Bignum.of_bytes_be b in
-      Bignum.equal (Bignum.rem v Group.n) (Group.reduce_scalar v))
+      let low = enc (Bignum.mask_bits v 256) in
+      let vl = Bignum.of_bytes_be low in
+      (* e*x + k with e, x, k the low 256 bits and two rotations of them. *)
+      let e = low and x = String.sub low 11 21 ^ String.sub low 0 11 in
+      let k = String.sub low 29 3 ^ String.sub low 0 29 in
+      let big s = Bignum.of_bytes_be s in
+      Bignum.equal (Bignum.rem v Group.n) (Group.reduce_scalar v)
+      && String.equal (enc (Bignum.rem vl Group.n)) (Group.scalar_of_bytes low)
+      && String.equal
+           (enc (Bignum.rem (Bignum.add (Bignum.mul (big e) (big x)) (big k)) Group.n))
+           (Group.scalar_muladd e x k))
 
 let test_scalar_fold_edges () =
   let open Bignum in
   List.iter
     (fun v -> check bn_testable (to_hex v) (rem v Group.n) (Group.reduce_scalar v))
     [ zero; sub Group.n one; Group.n; add Group.n one; two_pow 255; sub (two_pow 512) one;
-      mul Group.n Group.n; sub (mul Group.n Group.n) one ]
+      mul Group.n Group.n; sub (mul Group.n Group.n) one ];
+  List.iter
+    (fun v ->
+      let s = enc v in
+      check elt ("bytes " ^ to_hex v) (enc (rem v Group.n)) (Group.scalar_of_bytes s);
+      check Alcotest.bool ("is_scalar " ^ to_hex v) (compare v Group.n < 0) (Group.is_scalar s);
+      if compare v Group.n <= 0 then
+        check elt ("neg " ^ to_hex v) (enc (sub Group.n v)) (Group.scalar_neg s);
+      List.iter
+        (fun w ->
+          let x = enc w in
+          check elt
+            (Printf.sprintf "muladd %s %s" (to_hex v) (to_hex w))
+            (enc (rem (add (mul v w) w) Group.n))
+            (Group.scalar_muladd s x x))
+        [ zero; one; sub Group.n one; sub (two_pow 256) one ])
+    [ zero; one; sub Group.n one; Group.n; add Group.n one; mul_small Group.n 2;
+      add (mul_small Group.n 2) (bn 39); sub (two_pow 256) one ];
+  check Alcotest.bool "is_scalar needs 32 bytes" false (Group.is_scalar "\001")
 
 (* --- Schnorr --- *)
 
@@ -885,6 +977,7 @@ let () =
           Alcotest.test_case "10k squaring chain" `Quick test_fe_sqr_chain;
           qtest prop_scalar_fold;
           Alcotest.test_case "scalar fold edges" `Quick test_scalar_fold_edges;
+          qtest prop_fe_loose;
         ] );
       ( "schnorr",
         [

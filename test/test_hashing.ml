@@ -141,6 +141,42 @@ let test_per_batch_budget () =
                     budget %d"
       blocks b (blocks / (n * b)) budget
 
+(* Blocks a cluster compresses for [k] client requests, and the blocks one
+   digest of each distinct committed request costs. *)
+let client_run ~tracing k =
+  let obs = Iaccf_obs.Obs.create ~metrics:true ~tracing () in
+  let cluster = Cluster.make ~seed:5 ~n ~obs () in
+  let client = Cluster.add_client cluster () in
+  let before = Sha256.blocks_compressed () in
+  for i = 1 to k do
+    Client.submit client ~proc:"noop" ~args:(string_of_int i) ()
+  done;
+  let ok = Cluster.run_until cluster (fun () -> Client.completed client >= k) in
+  let blocks = Sha256.blocks_compressed () - before in
+  let request_blocks = ref 0 in
+  Iaccf_ledger.Ledger.iteri
+    (fun _ e ->
+      match e with
+      | Iaccf_ledger.Entry.Tx tx ->
+          request_blocks :=
+            !request_blocks + blocks_of_len (String.length (Request.serialize tx.Batch.request))
+      | _ -> ())
+    (Replica.ledger (Cluster.replica cluster 0));
+  check Alcotest.bool "all receipts" true ok;
+  (blocks, !request_blocks)
+
+(* Tracing names a request's flow events after its digest. The id comes
+   from a digest already computed, so a traced run hashes at most one
+   more digest per distinct request than an untraced one, whatever the
+   number of sends, retransmissions and receipts. *)
+let test_tracing_reuses_digests () =
+  let k = 60 in
+  let untraced, request_blocks = client_run ~tracing:false k in
+  let traced, _ = client_run ~tracing:true k in
+  if traced - untraced > request_blocks then
+    Alcotest.failf "tracing added %d blocks over %d untraced; one digest per request is %d"
+      (traced - untraced) untraced request_blocks
+
 let () =
   Alcotest.run "iaccf_hashing"
     [
@@ -149,5 +185,7 @@ let () =
           Alcotest.test_case "request bytes hashed at most twice per replica" `Quick
             test_request_bytes_hashed_twice;
           Alcotest.test_case "fixed hashing per batch" `Quick test_per_batch_budget;
+          Alcotest.test_case "tracing reuses request digests" `Quick
+            test_tracing_reuses_digests;
         ] );
     ]
